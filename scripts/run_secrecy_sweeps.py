@@ -28,7 +28,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--config", help="config file (defaults to the stock scenario)")
     parser.add_argument("--out", default="out/sweeps")
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args()
 
     config = args.config
@@ -38,8 +37,7 @@ def main() -> int:
         Path(config).write_text(DEFAULT_CONFIG)
     for axis in ("sweep-m", "sweep-k"):
         print(f"running {axis} ...", flush=True)
-        code = fdma_main(["--config", str(config), "--out", f"{args.out}/{axis}",
-                          "--threads", str(args.threads), axis])
+        code = fdma_main(["--config", str(config), "--out", f"{args.out}/{axis}", axis])
         if code != 0:
             return code
     print(f"wrote sweeps under {args.out}/")

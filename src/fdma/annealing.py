@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import ArrayDesign, Scenario, eve_snrs
+from .model import ArrayDesign, Scenario, eve_gains
 from .scenario import BaselineParams
 
 logger = logging.getLogger("fdma.annealing")
@@ -83,7 +83,14 @@ class IterationRecord:
 
 def cost(scenario: Scenario, design: ArrayDesign) -> float:
     "Optimization objective: total linear eavesdropper SNR under matched weights."
-    return float(np.sum(eve_snrs(scenario, design)))
+    return _raw_cost(scenario, design.positions, design.freq_shifts, design.f0)
+
+
+def _raw_cost(scenario: Scenario, positions: np.ndarray, shifts: np.ndarray,
+              f0: float) -> float:
+    "cost() on raw design arrays; the annealer evaluates candidates through it."
+    gains = eve_gains(scenario, positions, shifts, f0)
+    return float(scenario.eve_weights @ gains) / positions.size
 
 
 def spacings(positions: np.ndarray) -> np.ndarray:
@@ -121,29 +128,6 @@ def metropolis_accept(delta_cost: float, temperature: float,
     if temperature <= 0.0:
         return False
     return math.exp(-delta_cost / temperature) >= rng.uniform(0.0, 1.0)
-
-
-def _fast_cost_fn(scenario: Scenario, f0: float):
-    "Closure evaluating the objective from raw (positions, shifts) arrays."
-    bob = scenario.bob
-    c = scenario.speed_of_light
-    if not scenario.eves:
-        return lambda positions, shifts: 0.0
-    ranges = np.array([e.range_m for e in scenario.eves])
-    cosines = np.array([math.cos(e.angle_rad) for e in scenario.eves])
-    weights = scenario.tx_power_linear * np.array(
-        [e.path_loss_linear / e.noise_power_linear for e in scenario.eves]
-    )
-    cos_b = math.cos(bob.angle_rad)
-
-    def evaluate(positions: np.ndarray, shifts: np.ndarray) -> float:
-        f_over_c = (f0 + shifts) / c
-        probe_phase = (ranges[:, None] - np.outer(cosines, positions)) * f_over_c[None, :]
-        bob_vec = np.exp(-2j * np.pi * f_over_c * (bob.range_m - positions * cos_b))
-        etas = np.exp(2j * np.pi * probe_phase) @ bob_vec
-        return float(weights @ (np.abs(etas) ** 2)) / positions.size
-
-    return evaluate
 
 
 def _check_optimizable(scenario: Scenario, design: ArrayDesign) -> None:
@@ -208,10 +192,10 @@ def anneal_positions(scenario: Scenario, design: ArrayDesign, params: BaselinePa
         return design
     d0 = _initial_spacings(design, params)
     shifts = design.freq_shifts
-    evaluate_raw = _fast_cost_fn(scenario, design.f0)
 
     def evaluate(d: np.ndarray) -> float:
-        return evaluate_raw(reconstruct_positions(d, params.aperture_half_width), shifts)
+        return _raw_cost(scenario, reconstruct_positions(d, params.aperture_half_width),
+                         shifts, design.f0)
 
     def propose(d: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         m = int(rng.integers(d.size))
@@ -237,10 +221,9 @@ def anneal_freq_shifts(scenario: Scenario, design: ArrayDesign, params: Baseline
     lo, hi = params.freq_shift_bounds
     start = _boxed_shifts(design.freq_shifts, params)
     positions = design.positions
-    evaluate_raw = _fast_cost_fn(scenario, design.f0)
 
     def evaluate(shifts: np.ndarray) -> float:
-        return evaluate_raw(positions, shifts)
+        return _raw_cost(scenario, positions, shifts, design.f0)
 
     def propose(shifts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         m = int(rng.integers(shifts.size))

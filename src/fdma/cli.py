@@ -132,8 +132,7 @@ def _load_design(path: str) -> ArrayDesign:
                        np.array(doc["freq_shifts_hz"]))
 
 
-def cmd_beampattern(cfg: RunConfig, kind: ConfigurationKind, out_dir: Path,
-                    threads: int) -> None:
+def cmd_beampattern(cfg: RunConfig, kind: ConfigurationKind, out_dir: Path) -> None:
     started = _utc_now()
     scenario = _canonical_scenario(cfg)
     design = optimize_configuration(kind, scenario, cfg.m, cfg.baseline_params(),
@@ -147,21 +146,20 @@ def cmd_beampattern(cfg: RunConfig, kind: ConfigurationKind, out_dir: Path,
                     ["raster.csv", "design.json"], started)
 
 
-def cmd_sweep(cfg: RunConfig, axis: str, out_dir: Path, threads: int) -> None:
+def cmd_sweep(cfg: RunConfig, axis: str, out_dir: Path) -> None:
     started = _utc_now()
     base = cfg.base_scenario()
     if axis == "m":
         records = sweep_vs_num_antennas(
             base, list(cfg.m_values), ALL_KINDS, cfg.link_budget(), cfg.f0_hz,
-            cfg.annealer(), cfg.alternation(), cfg.perturber(), cfg.seed,
-            threads=threads)
+            cfg.annealer(), cfg.alternation(), cfg.perturber(), cfg.seed)
     else:
         kinds = (ConfigurationKind.FDMA_OPT1, ConfigurationKind.FDMA_OPT2)
         records = sweep_vs_num_eves(
             base, list(cfg.k_values), list(cfg.sweep_k_m_values), kinds,
             cfg.link_budget(), cfg.f0_hz, cfg.annealer(), cfg.alternation(),
             cfg.perturber(), cfg.seed, trials=cfg.trials,
-            domain=cfg.eve_domain(), threads=threads)
+            domain=cfg.eve_domain())
     rows = sorted(
         (rec.sweep_value, rec.configuration.value, rec.secrecy_rate_bps_hz,
          rec.seed, rec.trial)
@@ -171,7 +169,7 @@ def cmd_sweep(cfg: RunConfig, axis: str, out_dir: Path, threads: int) -> None:
     _write_manifest(out_dir, f"sweep-{axis}", cfg, ["sweep.csv"], started)
 
 
-def cmd_optimize(cfg: RunConfig, method: str, out_dir: Path, threads: int) -> None:
+def cmd_optimize(cfg: RunConfig, method: str, out_dir: Path) -> None:
     started = _utc_now()
     scenario = _canonical_scenario(cfg)
     params = cfg.baseline_params()
@@ -223,8 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", required=True, help="path to a key/value config file")
     parser.add_argument("--seed", type=int, default=None, help="override the master seed")
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for independent sweep items")
     parser.add_argument("--kind", default="CPA",
                         choices=[k.value for k in ConfigurationKind],
                         help="transmitter configuration for beampattern runs")
@@ -252,13 +248,13 @@ def main(argv: list[str] | None = None) -> int:
             cfg.seed = args.seed
         out_dir = Path(args.out)
         if args.command == "beampattern":
-            cmd_beampattern(cfg, ConfigurationKind(args.kind), out_dir, args.threads)
+            cmd_beampattern(cfg, ConfigurationKind(args.kind), out_dir)
         elif args.command == "sweep-m":
-            cmd_sweep(cfg, "m", out_dir, args.threads)
+            cmd_sweep(cfg, "m", out_dir)
         elif args.command == "sweep-k":
-            cmd_sweep(cfg, "k", out_dir, args.threads)
+            cmd_sweep(cfg, "k", out_dir)
         elif args.command == "optimize":
-            cmd_optimize(cfg, args.method, out_dir, args.threads)
+            cmd_optimize(cfg, args.method, out_dir)
         elif args.command == "compare":
             cmd_compare(cfg, args.design_a, args.design_b, out_dir)
         else:  # pragma: no cover - argparse enforces the choices

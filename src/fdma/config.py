@@ -186,9 +186,12 @@ def _parse_value(key: str, raw: str, line_no: int):
             return tuple(int(part.strip()) for part in raw.split(",") if part.strip())
         if key in _INT_KEYS:
             return int(raw)
-        return float(raw)
+        value = float(raw)
     except ValueError as exc:
         raise ConfigError(f"cannot parse value {raw!r}", key=key, line=line_no) from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"non-finite value {raw!r}", key=key, line=line_no)
+    return value
 
 
 def parse_config_text(text: str) -> RunConfig:

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -173,34 +172,28 @@ def sweep_vs_num_antennas(base_scenario: Scenario, m_values: list[int],
                           kinds: tuple[ConfigurationKind, ...],
                           link_cfg: LinkBudgetConfig, f0: float,
                           sa_cfg: AnnealerConfig, alt_cfg: AlternationConfig,
-                          perturb_cfg: PerturbConfig, master_seed: int,
-                          threads: int = 1) -> list[SweepRecord]:
+                          perturb_cfg: PerturbConfig, master_seed: int) -> list[SweepRecord]:
     """Secrecy rate versus array size with the three canonical adversaries.
 
     The adversaries are re-placed for every array size because their
     sidelobe locations depend on it.
     """
-    jobs = []
+    if any(m < 4 for m in m_values):
+        raise ValueError("array-size sweep needs at least four antennas")
+    records = []
     for m in m_values:
-        if m < 4:
-            raise ValueError("array-size sweep needs at least four antennas")
         params = default_baseline_params(m, f0, base_scenario.speed_of_light)
         eves = place_canonical_eves(m, base_scenario.bob, params, link_cfg, f0,
                                     base_scenario.speed_of_light)
         scenario = _scenario_with_eves(base_scenario, eves)
         for kind in kinds:
             seed = derive_seed(master_seed, f"sweep-m/M={m}/kind={kind.value}")
-            jobs.append((m, kind, scenario, params, seed))
-
-    def run(job):
-        m, kind, scenario, params, seed = job
-        design = optimize_configuration(kind, scenario, m, params, f0,
-                                        sa_cfg, alt_cfg, perturb_cfg, seed=seed)
-        rate = configuration_rate(kind, scenario, design)
-        logger.info("sweep-m M=%d %s rate=%.4f", m, kind.value, rate)
-        return SweepRecord(m, kind, rate, seed)
-
-    return _run_jobs(jobs, run, threads)
+            design = optimize_configuration(kind, scenario, m, params, f0,
+                                            sa_cfg, alt_cfg, perturb_cfg, seed=seed)
+            rate = configuration_rate(kind, scenario, design)
+            logger.info("sweep-m M=%d %s rate=%.4f", m, kind.value, rate)
+            records.append(SweepRecord(m, kind, rate, seed))
+    return records
 
 
 def sweep_vs_num_eves(base_scenario: Scenario, k_values: list[int], m_values: list[int],
@@ -208,8 +201,8 @@ def sweep_vs_num_eves(base_scenario: Scenario, k_values: list[int], m_values: li
                       link_cfg: LinkBudgetConfig, f0: float,
                       sa_cfg: AnnealerConfig, alt_cfg: AlternationConfig,
                       perturb_cfg: PerturbConfig, master_seed: int,
-                      trials: int = 20, domain: PolarDomain | None = None,
-                      threads: int = 1) -> list[SweepRecord]:
+                      trials: int = 20,
+                      domain: PolarDomain | None = None) -> list[SweepRecord]:
     """Secrecy rate versus adversary count with random placements per trial.
 
     Every trial draws max(k_values) adversaries outside the target region
@@ -219,12 +212,12 @@ def sweep_vs_num_eves(base_scenario: Scenario, k_values: list[int], m_values: li
     if trials < 1:
         raise ValueError("need at least one trial")
     k_max = max(k_values)
+    if any(k_max >= m for m in m_values):
+        raise ValueError("need fewer eavesdroppers than antennas")
     c = base_scenario.speed_of_light
-    jobs = []
+    records = []
     for m in m_values:
         params = default_baseline_params(m, f0, c)
-        if k_max >= m:
-            raise ValueError("need fewer eavesdroppers than antennas")
         for trial in range(trials):
             eve_seed = derive_seed(master_seed, f"sweep-k/M={m}/trial={trial}")
             all_eves = sample_eves_outside_target(
@@ -236,25 +229,13 @@ def sweep_vs_num_eves(base_scenario: Scenario, k_values: list[int], m_values: li
                 for kind in kinds:
                     seed = derive_seed(
                         master_seed, f"sweep-k/M={m}/K={k}/trial={trial}/kind={kind.value}")
-                    jobs.append((k, m, kind, scenario, params, seed, trial))
-
-    def run(job):
-        k, m, kind, scenario, params, seed, trial = job
-        design = optimize_configuration(kind, scenario, m, params, f0,
-                                        sa_cfg, alt_cfg, perturb_cfg, seed=seed)
-        rate = configuration_rate(kind, scenario, design)
-        logger.info("sweep-k K=%d M=%d %s trial=%d rate=%.4f",
-                    k, m, kind.value, trial, rate)
-        return SweepRecord(k, kind, rate, seed, trial)
-
-    return _run_jobs(jobs, run, threads)
-
-
-def _run_jobs(jobs, run, threads: int):
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run, jobs))
-    return [run(job) for job in jobs]
+                    design = optimize_configuration(kind, scenario, m, params, f0, sa_cfg,
+                                                    alt_cfg, perturb_cfg, seed=seed)
+                    rate = configuration_rate(kind, scenario, design)
+                    logger.info("sweep-k K=%d M=%d %s trial=%d rate=%.4f",
+                                k, m, kind.value, trial, rate)
+                    records.append(SweepRecord(k, kind, rate, seed, trial))
+    return records
 
 
 def mean_rates(records: list[SweepRecord]) -> dict[tuple[int, ConfigurationKind], float]:

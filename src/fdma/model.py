@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,6 +33,13 @@ def wavelength(f0: float, c: float = SPEED_OF_LIGHT) -> float:
     return c / f0
 
 
+def _frozen(values) -> np.ndarray:
+    "Read-only float copy of an array-like."
+    array = np.array(values, dtype=float)
+    array.setflags(write=False)
+    return array
+
+
 @dataclass(frozen=True, eq=False)
 class ArrayDesign:
     """Transmit-array state: element positions plus the frequency plan.
@@ -46,8 +54,8 @@ class ArrayDesign:
     freq_shifts: np.ndarray
 
     def __post_init__(self):
-        positions = np.array(self.positions, dtype=float)
-        shifts = np.array(self.freq_shifts, dtype=float)
+        positions = _frozen(self.positions)
+        shifts = _frozen(self.freq_shifts)
         if positions.ndim != 1 or positions.size < 1:
             raise ValueError("positions must be a non-empty 1-D sequence")
         if shifts.shape != positions.shape:
@@ -60,8 +68,6 @@ class ArrayDesign:
             raise ValueError(
                 f"frequency shifts must satisfy |shift| < {MAX_RELATIVE_SHIFT:g} * f0"
             )
-        positions.setflags(write=False)
-        shifts.setflags(write=False)
         object.__setattr__(self, "positions", positions)
         object.__setattr__(self, "freq_shifts", shifts)
 
@@ -121,6 +127,23 @@ class Scenario:
     def num_eves(self) -> int:
         return len(self.eves)
 
+    # Adversary geometry as read-only arrays, built once per scenario and
+    # shared by every gain evaluation; empty when there are no adversaries.
+
+    @cached_property
+    def eve_ranges(self) -> np.ndarray:
+        return _frozen([e.range_m for e in self.eves])
+
+    @cached_property
+    def eve_cosines(self) -> np.ndarray:
+        return _frozen([math.cos(e.angle_rad) for e in self.eves])
+
+    @cached_property
+    def eve_weights(self) -> np.ndarray:
+        "SNR prefactors P L_k / sigma_k^2 under unit-gain beamforming."
+        return _frozen(self.tx_power_linear * np.array(
+            [e.path_loss_linear / e.noise_power_linear for e in self.eves], dtype=float))
+
 
 def steering_vector(design: ArrayDesign, place: Placement,
                     c: float = SPEED_OF_LIGHT) -> np.ndarray:
@@ -155,6 +178,15 @@ def beampattern(design: ArrayDesign, probe: Placement, bob: Placement,
                            steering_vector(design, bob, c)))
 
 
+def _eta(positions: np.ndarray, f_over_c: np.ndarray, ranges: np.ndarray,
+         cosines: np.ndarray, bob: Placement) -> np.ndarray:
+    "Beampattern at probes (ranges, cosines) of elements at positions radiating f/c."
+    probe_phase = (ranges[:, None] - np.outer(cosines, positions)) * f_over_c[None, :]
+    bob_path = bob.range_m - positions * math.cos(bob.angle_rad)
+    bob_vec = np.exp(-2j * np.pi * f_over_c * bob_path)
+    return np.exp(2j * np.pi * probe_phase) @ bob_vec
+
+
 def beampattern_batch(design: ArrayDesign, ranges_m: np.ndarray,
                       cos_angles: np.ndarray, bob: Placement,
                       c: float = SPEED_OF_LIGHT) -> np.ndarray:
@@ -164,13 +196,16 @@ def beampattern_batch(design: ArrayDesign, ranges_m: np.ndarray,
     as (range, cos(angle)); probes need not satisfy Placement invariants,
     which makes this suitable for rastering arbitrary grids.
     """
-    ranges_m = np.asarray(ranges_m, dtype=float)
-    cos_angles = np.asarray(cos_angles, dtype=float)
-    f_over_c = design.frequencies / c
-    probe_phase = (ranges_m[:, None] - np.outer(cos_angles, design.positions)) * f_over_c[None, :]
-    bob_path = bob.range_m - design.positions * math.cos(bob.angle_rad)
-    bob_vec = np.exp(-2j * np.pi * f_over_c * bob_path)
-    return np.exp(2j * np.pi * probe_phase) @ bob_vec
+    return _eta(design.positions, design.frequencies / c,
+                np.asarray(ranges_m, dtype=float), np.asarray(cos_angles, dtype=float), bob)
+
+
+def eve_gains(scenario: Scenario, positions: np.ndarray, shifts: np.ndarray,
+              f0: float) -> np.ndarray:
+    "Beampattern power |eta_k|^2 at each eavesdropper, from raw design arrays."
+    f_over_c = (f0 + shifts) / scenario.speed_of_light
+    return np.abs(_eta(positions, f_over_c, scenario.eve_ranges, scenario.eve_cosines,
+                       scenario.bob)) ** 2
 
 
 def snr_bob(scenario: Scenario, design: ArrayDesign) -> float:
@@ -186,16 +221,8 @@ def snr_bob(scenario: Scenario, design: ArrayDesign) -> float:
 
 def eve_snrs(scenario: Scenario, design: ArrayDesign) -> np.ndarray:
     "Linear SNR at each eavesdropper under matched transmit weights."
-    if not scenario.eves:
-        return np.zeros(0)
-    ranges = np.array([e.range_m for e in scenario.eves])
-    cosines = np.array([math.cos(e.angle_rad) for e in scenario.eves])
-    gains = np.abs(beampattern_batch(design, ranges, cosines, scenario.bob,
-                                     scenario.speed_of_light)) ** 2
-    losses = np.array([e.path_loss_linear for e in scenario.eves])
-    noises = np.array([e.noise_power_linear for e in scenario.eves])
-    m = design.num_antennas
-    return scenario.tx_power_linear * losses * gains / (m * noises)
+    gains = eve_gains(scenario, design.positions, design.freq_shifts, design.f0)
+    return scenario.eve_weights * gains / design.num_antennas
 
 
 def snr_eve(scenario: Scenario, design: ArrayDesign, k: int) -> float:

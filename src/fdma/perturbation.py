@@ -98,18 +98,11 @@ class RoundRecord:
 
 
 def _angle_deltas(scenario: Scenario) -> np.ndarray:
-    cos_b = math.cos(scenario.bob.angle_rad)
-    return np.array([math.cos(e.angle_rad) - cos_b for e in scenario.eves])
+    return scenario.eve_cosines - math.cos(scenario.bob.angle_rad)
 
 
 def _range_deltas(scenario: Scenario) -> np.ndarray:
-    return np.array([scenario.bob.range_m - e.range_m for e in scenario.eves])
-
-
-def _snr_weights(scenario: Scenario, num_antennas: int) -> np.ndarray:
-    return scenario.tx_power_linear * np.array(
-        [e.path_loss_linear / (num_antennas * e.noise_power_linear) for e in scenario.eves]
-    )
+    return scenario.bob.range_m - scenario.eve_ranges
 
 
 def _position_phase_matrix(scenario: Scenario, params: BaselineParams,
@@ -157,7 +150,7 @@ def build_position_system(scenario: Scenario, params: BaselineParams,
     return NullingSystem(
         a=factor[:, None] * np.sin(phases),
         b=np.cos(phases).sum(axis=1),
-        q_diag=_snr_weights(scenario, freq_shifts.size),
+        q_diag=scenario.eve_weights / freq_shifts.size,
     )
 
 
@@ -170,7 +163,7 @@ def build_frequency_system(scenario: Scenario, params: BaselineParams,
     return NullingSystem(
         a=factor[:, None] * np.sin(phases),
         b=np.cos(phases).sum(axis=1),
-        q_diag=_snr_weights(scenario, positions.size),
+        q_diag=scenario.eve_weights / positions.size,
     )
 
 

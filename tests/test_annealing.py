@@ -44,6 +44,18 @@ class TestCost:
         assert abs(cost(default_scenario, design) - total) < 1e-12 * max(total, 1.0)
 
 
+class TestAnnealerAgreesWithCost:
+    @pytest.mark.parametrize("anneal", [anneal_freq_shifts, anneal_positions])
+    def test_best_cost_is_cost_of_returned_design(self, anneal, default_scenario,
+                                                  default_params):
+        init = make_linear_fda(21, default_params, F0)
+        for seed in range(20):
+            trace = []
+            design = anneal(default_scenario, init, default_params,
+                            AnnealerConfig(max_iterations=300, seed=seed), trace=trace)
+            assert trace[-1].best_cost == cost(default_scenario, design), f"seed {seed}"
+
+
 class TestSpacingAlgebra:
     def test_reconstruct_symmetric(self):
         np.testing.assert_allclose(reconstruct_positions([1.0, 1.0], 5.0), [-1, 0, 1])
@@ -134,18 +146,13 @@ class TestAnnealPositions:
         params = default_baseline_params(6, F0, SPEED_OF_LIGHT)
         init = make_linear_fda(6, params, F0)
         evaluations = []
-        real_factory = annealing._fast_cost_fn
+        real_gains = annealing.eve_gains
 
-        def spy_factory(scn, f0):
-            real = real_factory(scn, f0)
+        def spy(scn, positions, shifts, f0):
+            evaluations.append(np.array(positions))
+            return real_gains(scn, positions, shifts, f0)
 
-            def spy(positions, shifts):
-                evaluations.append(np.array(positions))
-                return real(positions, shifts)
-
-            return spy
-
-        monkeypatch.setattr(annealing, "_fast_cost_fn", spy_factory)
+        monkeypatch.setattr(annealing, "eve_gains", spy)
         trace = []
         anneal_positions(scenario, init, params,
                          AnnealerConfig(max_iterations=250, seed=12), trace=trace)

@@ -61,10 +61,11 @@ class TestConfigParsing:
             parse_config_text("f0_hz = 30e9\nbogus = 1")
         assert err.value.key == "bogus" and err.value.line == 2
 
-    def test_unparseable_value(self):
+    @pytest.mark.parametrize("raw", ["thirty", "inf", "-inf", "nan"])
+    def test_unparseable_value(self, raw):
         with pytest.raises(ConfigError) as err:
-            parse_config_text("f0_hz = thirty")
-        assert err.value.key == "f0_hz"
+            parse_config_text(f"m = 9\nf0_hz = {raw}")
+        assert err.value.key == "f0_hz" and err.value.line == 2
 
     def test_polar_receiver_form(self):
         cfg = parse_config_text("f0_hz = 30e9\nbob_range_m = 50\nbob_angle_deg = 90")
@@ -185,11 +186,15 @@ class TestOptimizeCommand:
                           "optimize", "--method", "sa"], tmp_path)
         assert result.returncode == 0, result.stderr
         footer = {}
-        for line in (out / "trace.csv").read_text().splitlines():
+        lines = (out / "trace.csv").read_text().splitlines()
+        for line in lines:
             if line.startswith("# "):
                 key, value = line[2:].split("=", 1)
                 footer[key] = float(value)
         assert footer["final_cost"] <= footer["initial_cost"]
+        best_costs = [float(line.split(",")[4]) for line in lines[1:]
+                      if not line.startswith("# ")]
+        assert min(best_costs) == footer["final_cost"]
 
     def test_seed_flag_changes_design(self, config_path, tmp_path):
         docs = []
@@ -221,7 +226,7 @@ class TestSweepCommands:
     def test_sweep_k_zero_adversaries_hits_upper_bound(self, config_path, tmp_path):
         out = tmp_path / "out"
         result = run_cli(["--config", str(config_path), "--out", str(out),
-                          "--threads", "2", "sweep-k"], tmp_path)
+                          "sweep-k"], tmp_path)
         assert result.returncode == 0, result.stderr
         rows = [line.split(",") for line
                 in (out / "sweep.csv").read_text().splitlines()[1:]]
