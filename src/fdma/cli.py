@@ -5,9 +5,9 @@ writes its data files plus a manifest.json recording the resolved
 configuration, seed, tool version and timestamps.  Floating-point values
 are serialized with 17 significant digits, so data files are byte-identical
 across re-runs with the same config and seed (the manifest carries
-wall-clock timestamps and is exempt).  FDMA_LOG=DEBUG|INFO|... controls
-log verbosity.  On failure a single-line JSON error record goes to stderr
-and the exit code is nonzero.
+wall-clock timestamps and per-stage wall times, and is exempt).
+FDMA_LOG=DEBUG|INFO|... controls log verbosity.  On failure a single-line
+JSON error record goes to stderr and the exit code is nonzero.
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ import json
 import logging
 import os
 import sys
+import time
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -74,23 +76,29 @@ def _write_text(path: Path, text: str) -> None:
         handle.write(text)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[tuple],
+def _write_csv(path: Path, header: list[str], fmt: str, rows: Iterable[tuple],
                footer: dict | None = None) -> None:
+    """Header line, then one `fmt % row` line per row tuple, then `# key=value` footers.
+
+    fmt must match the column types: `%.17g` prints a float as `_fmt` does,
+    `%d` an int or bool, `%s` a string; `%d` of a float would truncate it.
+    """
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
+    lines.extend(map(fmt.__mod__, rows))
     if footer:
         lines.extend(f"# {key}={_fmt(value)}" for key, value in footer.items())
     _write_text(path, "\n".join(lines) + "\n")
 
 
 def _write_manifest(out_dir: Path, experiment_id: str, cfg: RunConfig,
-                    outputs: list[str], started: str) -> None:
+                    outputs: list[str], started: str, stage_seconds: dict) -> None:
     manifest = {
         "experiment_id": experiment_id,
         "tool_version": __version__,
         "master_seed": cfg.seed,
         "config": cfg.snapshot(),
         "outputs": sorted(outputs),
+        "stage_seconds": stage_seconds,
         "started_utc": started,
         "finished_utc": _utc_now(),
     }
@@ -99,6 +107,19 @@ def _write_manifest(out_dir: Path, experiment_id: str, cfg: RunConfig,
 
 def _utc_now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
+
+
+class _Stopwatch:
+    "Wall seconds per named stage; each stage runs from the end of the previous one."
+
+    def __init__(self) -> None:
+        self.seconds: dict[str, float] = {}
+        self._mark = time.perf_counter()
+
+    def lap(self, stage: str) -> None:
+        now = time.perf_counter()
+        self.seconds[stage] = now - self._mark
+        self._mark = now
 
 
 def _canonical_scenario(cfg: RunConfig) -> Scenario:
@@ -134,20 +155,25 @@ def _load_design(path: str) -> ArrayDesign:
 
 def cmd_beampattern(cfg: RunConfig, kind: ConfigurationKind, out_dir: Path) -> None:
     started = _utc_now()
+    clock = _Stopwatch()
     scenario = _canonical_scenario(cfg)
     design = optimize_configuration(kind, scenario, cfg.m, cfg.baseline_params(),
                                     cfg.f0_hz, cfg.annealer(), cfg.alternation(),
                                     cfg.perturber(), seed=cfg.seed)
-    records = raster_beampattern(scenario, design, cfg.grid())
-    _write_csv(out_dir / "raster.csv", ["x_m", "y_m", "power_db"],
-               [(r.x_m, r.y_m, r.normalized_power_db) for r in records])
+    clock.lap("design")
+    x, y, power_db = raster_beampattern(scenario, design, cfg.grid())
+    clock.lap("raster")
+    _write_csv(out_dir / "raster.csv", ["x_m", "y_m", "power_db"], "%.17g,%.17g,%.17g",
+               zip(x.tolist(), y.tolist(), power_db.tolist()))
     _write_text(out_dir / "design.json", _json_dumps(_design_document(design)) + "\n")
+    clock.lap("write")
     _write_manifest(out_dir, f"beampattern/{kind.value}", cfg,
-                    ["raster.csv", "design.json"], started)
+                    ["raster.csv", "design.json"], started, clock.seconds)
 
 
 def cmd_sweep(cfg: RunConfig, axis: str, out_dir: Path) -> None:
     started = _utc_now()
+    clock = _Stopwatch()
     base = cfg.base_scenario()
     if axis == "m":
         records = sweep_vs_num_antennas(
@@ -164,13 +190,17 @@ def cmd_sweep(cfg: RunConfig, axis: str, out_dir: Path) -> None:
         (rec.sweep_value, rec.configuration.value, rec.secrecy_rate_bps_hz,
          rec.seed, rec.trial)
         for rec in records)
+    clock.lap("sweep")
     _write_csv(out_dir / "sweep.csv",
-               ["sweep_value", "configuration", "secrecy_rate", "seed", "trial"], rows)
-    _write_manifest(out_dir, f"sweep-{axis}", cfg, ["sweep.csv"], started)
+               ["sweep_value", "configuration", "secrecy_rate", "seed", "trial"],
+               "%d,%s,%.17g,%d,%d", rows)
+    clock.lap("write")
+    _write_manifest(out_dir, f"sweep-{axis}", cfg, ["sweep.csv"], started, clock.seconds)
 
 
 def cmd_optimize(cfg: RunConfig, method: str, out_dir: Path) -> None:
     started = _utc_now()
+    clock = _Stopwatch()
     scenario = _canonical_scenario(cfg)
     params = cfg.baseline_params()
     kind = ConfigurationKind.FDMA_OPT1 if method == "sa" else ConfigurationKind.FDMA_OPT2
@@ -184,6 +214,7 @@ def cmd_optimize(cfg: RunConfig, method: str, out_dir: Path) -> None:
         design = alternate_sa(scenario, baseline, params, cfg.annealer(),
                               cfg.alternation(), trace=trace)
         header = ["iteration", "temperature", "cost", "accepted", "best_cost"]
+        fmt = "%d,%.17g,%.17g,%d,%.17g"
         rows = [(r.iteration, r.temperature, r.cost, r.accepted, r.best_cost)
                 for r in trace if isinstance(r, IterationRecord)]
     else:
@@ -192,25 +223,32 @@ def cmd_optimize(cfg: RunConfig, method: str, out_dir: Path) -> None:
         design = alternate_perturb(scenario, baseline, params, cfg.perturber(),
                                    trace=trace)
         header = ["round", "subproblem", "cost", "clip_count"]
+        fmt = "%d,%s,%.17g,%d"
         rows = [(r.round, r.subproblem, r.cost, r.clip_count)
                 for r in trace if isinstance(r, RoundRecord)]
     final_cost = cost(scenario, design)
-    _write_csv(out_dir / "trace.csv", header, rows,
+    clock.lap("optimize")
+    _write_csv(out_dir / "trace.csv", header, fmt, rows,
                footer={"initial_cost": initial_cost, "final_cost": final_cost})
     _write_text(out_dir / "design.json", _json_dumps(_design_document(design)) + "\n")
+    clock.lap("write")
     _write_manifest(out_dir, f"optimize/{method}", cfg,
-                    ["design.json", "trace.csv"], started)
+                    ["design.json", "trace.csv"], started, clock.seconds)
     logger.info("optimize %s: cost %.6g -> %.6g", method, initial_cost, final_cost)
 
 
 def cmd_compare(cfg: RunConfig, design_a: str, design_b: str, out_dir: Path) -> None:
     started = _utc_now()
+    clock = _Stopwatch()
     records = compare_designs(_load_design(design_a), _load_design(design_b))
+    clock.lap("compare")
     _write_csv(out_dir / "compare.csv",
                ["antenna", "pos_a_lambda", "pos_b_lambda", "shift_a_mhz", "shift_b_mhz"],
+               "%d,%.17g,%.17g,%.17g,%.17g",
                [(r.antenna, r.position_a_wavelengths, r.position_b_wavelengths,
                  r.shift_a_mhz, r.shift_b_mhz) for r in records])
-    _write_manifest(out_dir, "compare", cfg, ["compare.csv"], started)
+    clock.lap("write")
+    _write_manifest(out_dir, "compare", cfg, ["compare.csv"], started, clock.seconds)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -71,15 +71,6 @@ ALL_KINDS = tuple(ConfigurationKind)
 
 
 @dataclass(frozen=True)
-class RasterRecord:
-    "One raster cell: Cartesian location and normalized beampattern power."
-
-    x_m: float
-    y_m: float
-    normalized_power_db: float
-
-
-@dataclass(frozen=True)
 class SweepRecord:
     "One sweep sample: swept value, configuration, rate, and provenance."
 
@@ -141,11 +132,12 @@ def configuration_rate(kind: ConfigurationKind, scenario: Scenario,
 
 
 def raster_beampattern(scenario: Scenario, design: ArrayDesign,
-                       grid: GridSpec) -> list[RasterRecord]:
+                       grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Normalized beampattern power over a Cartesian grid, in dB.
 
-    One record per grid point, row-major over (x, y); exactly 0 dB at the
-    intended receiver and never positive elsewhere.
+    Returns the flat arrays (x_m, y_m, power_db), one entry per grid point,
+    row-major over (x, y); the power is exactly 0 dB at the intended
+    receiver and never positive elsewhere.
     """
     xs = grid.x_points()
     ys = grid.y_points()
@@ -160,8 +152,7 @@ def raster_beampattern(scenario: Scenario, design: ArrayDesign,
     m = design.num_antennas
     power = np.abs(etas) ** 2 / m ** 2
     power_db = 10.0 * np.log10(np.maximum(power, 1e-300))
-    return [RasterRecord(float(x), float(y), float(p))
-            for x, y, p in zip(flat_x, flat_y, power_db)]
+    return flat_x, flat_y, power_db
 
 
 def _scenario_with_eves(base: Scenario, eves: list[Placement]) -> Scenario:

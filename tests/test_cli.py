@@ -1,11 +1,16 @@
+import hashlib
 import json
 import math
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from fdma.cli import _fmt, _write_csv
 from fdma.config import ConfigError, parse_config_text
 from fdma.model import SPEED_OF_LIGHT
 from fdma.scenario import default_baseline_params, make_linear_fda, place_canonical_eves
@@ -42,6 +47,56 @@ def config_path(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text(BASE_CONFIG)
     return path
+
+
+def assert_stage_seconds(out, stages):
+    manifest = json.loads((out / "manifest.json").read_text())
+    seconds = manifest["stage_seconds"]
+    assert sorted(seconds) == sorted(stages)
+    assert all(isinstance(v, float) and v >= 0.0 for v in seconds.values())
+
+
+# Column strategies for the CSV writer: every float kind the tables carry
+# (signed zero, infinities, nan, subnormals, numpy scalars), and ints and
+# bools up to the 64-bit range of derive_seed.
+FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([-0.0, math.inf, -math.inf, math.nan, 5e-324, 1e-300, 1 / 3]),
+    st.floats(width=32).map(np.float32),
+    st.floats().map(np.float64),
+)
+INTS = st.one_of(
+    st.integers(-(2**63), 2**64 - 1),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans(),
+    st.booleans().map(np.bool_),
+)
+TEXT = st.text(st.characters(blacklist_categories=("Cs",)))
+COLUMNS = {"%.17g": FLOATS, "%d": INTS, "%s": TEXT}
+
+
+class TestCsvWriter:
+    @pytest.mark.parametrize("fmt", [
+        "%.17g,%.17g,%.17g",        # raster
+        "%d,%.17g,%.17g,%d,%.17g",  # SA trace
+        "%d,%s,%.17g,%d",           # perturbation trace
+        "%d,%s,%.17g,%d,%d",        # sweep
+        "%d,%.17g,%.17g,%.17g,%.17g",  # compare
+    ])
+    @given(data=st.data())
+    def test_matches_per_cell_reference(self, fmt, data):
+        row = st.tuples(*(COLUMNS[spec] for spec in fmt.split(",")))
+        rows = data.draw(st.lists(row, max_size=8))
+        footer = data.draw(st.dictionaries(st.sampled_from(["initial_cost", "final_cost"]),
+                                           FLOATS))
+        header = [f"c{i}" for i in range(fmt.count(",") + 1)]
+        lines = [",".join(header)]
+        lines += [",".join(_fmt(cell) for cell in r) for r in rows]
+        lines += [f"# {key}={_fmt(value)}" for key, value in footer.items()]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.csv"
+            _write_csv(path, header, fmt, rows, footer=footer)
+            assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
 
 
 class TestConfigParsing:
@@ -100,6 +155,28 @@ class TestBeampatternCommand:
         assert manifest["experiment_id"] == "beampattern/CPA"
         assert manifest["master_seed"] == 424242
         assert "raster.csv" in manifest["outputs"]
+        assert_stage_seconds(out, ["design", "raster", "write"])
+
+    # Rasters draw no random numbers, so these bytes hold across optimizer
+    # changes; the digests were taken from the per-cell writer.
+    @pytest.mark.parametrize("kind,digest", [
+        ("CPA", "c8d5121a1466d55d22d4ad51b9464bc353ca56d4bce31dbf345d30a2990a041c"),
+        ("LINEAR_FDA", "60031f29b402af4e65ab2d1b1ac208659df193336338850bcd58e7d2ab45040b"),
+    ])
+    def test_raster_bytes_pinned(self, tmp_path, kind, digest):
+        config = tmp_path / "pin.cfg"
+        config.write_text(
+            "f0_hz = 30e9\nm = 21\nk = 3\nseed = 7\n"
+            "grid_x_min_m = 20\ngrid_x_max_m = 40\n"
+            "grid_y_min_m = 80\ngrid_y_max_m = 100\n"
+            "grid_resolution_m = 1\n")
+        out = tmp_path / "out"
+        result = run_cli(["--config", str(config), "--out", str(out),
+                          "--kind", kind, "beampattern"], tmp_path)
+        assert result.returncode == 0, result.stderr
+        raster = (out / "raster.csv").read_bytes()
+        assert raster.count(b"\n") == 1 + 21 * 21
+        assert hashlib.sha256(raster).hexdigest() == digest
 
     def test_missing_required_key_reported(self, tmp_path):
         bad = tmp_path / "bad.cfg"
@@ -195,6 +272,7 @@ class TestOptimizeCommand:
         best_costs = [float(line.split(",")[4]) for line in lines[1:]
                       if not line.startswith("# ")]
         assert min(best_costs) == footer["final_cost"]
+        assert_stage_seconds(out, ["optimize", "write"])
 
     def test_seed_flag_changes_design(self, config_path, tmp_path):
         docs = []
@@ -222,6 +300,7 @@ class TestSweepCommands:
         assert len(pairs) == 2 * 9 and len(kinds) == 9
         ubs = {int(r[0]): float(r[2]) for r in rows if r[1] == "UPPER_BOUND"}
         assert ubs[5] < ubs[7]
+        assert_stage_seconds(out, ["sweep", "write"])
 
     def test_sweep_k_zero_adversaries_hits_upper_bound(self, config_path, tmp_path):
         out = tmp_path / "out"
@@ -250,3 +329,4 @@ class TestCompareCommand:
         lines = (out / "compare.csv").read_text().splitlines()
         assert lines[0] == "antenna,pos_a_lambda,pos_b_lambda,shift_a_mhz,shift_b_mhz"
         assert len(lines) == 1 + 9
+        assert_stage_seconds(out, ["compare", "write"])

@@ -46,11 +46,11 @@ class TestRaster:
         scenario = Scenario(bob_mod, tuple(eves), 10.0 ** 0.5)
         design = make_cpa(21, params, F0)
         grid = GridSpec(20.0, 40.0, 80.0, 100.0, 1.0)  # (30, 90) lands on-grid
-        records = raster_beampattern(scenario, design, grid)
-        assert len(records) == 21 * 21
-        power = {(r.x_m, r.y_m): r.normalized_power_db for r in records}
-        assert power[(30.0, 90.0)] > -1e-9
-        assert max(power.values()) <= 1e-6
+        x, y, power_db = raster_beampattern(scenario, design, grid)
+        assert x.shape == y.shape == power_db.shape == (21 * 21,)
+        (receiver,) = np.flatnonzero((x == 30.0) & (y == 90.0))
+        assert power_db[receiver] > -1e-9
+        assert power_db.max() <= 1e-6
 
     def test_deterministic(self, base_scenario):
         params = default_baseline_params(11, F0, SPEED_OF_LIGHT)
@@ -58,7 +58,8 @@ class TestRaster:
         grid = GridSpec(-20.0, 20.0, 10.0, 40.0, 2.0)
         a = raster_beampattern(base_scenario, design, grid)
         b = raster_beampattern(base_scenario, design, grid)
-        assert a == b
+        assert len(a) == len(b) == 3
+        assert all(np.array_equal(u, v) for u, v in zip(a, b))
 
     def test_first_sidelobe_level_on_equal_range_arc(self, bob_mod, base_scenario):
         # For a single-carrier uniform array the strongest sidelobe sits
