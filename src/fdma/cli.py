@@ -5,7 +5,8 @@ writes its data files plus a manifest.json recording the resolved
 configuration, seed, tool version and timestamps.  Floating-point values
 are serialized with 17 significant digits, so data files are byte-identical
 across re-runs with the same config and seed (the manifest carries
-wall-clock timestamps and per-stage wall times, and is exempt).
+wall-clock timestamps, per-stage wall times and the environment, and is
+exempt).
 FDMA_LOG=DEBUG|INFO|... controls log verbosity.  On failure a single-line
 JSON error record goes to stderr and the exit code is nonzero.
 """
@@ -13,22 +14,29 @@ JSON error record goes to stderr and the exit code is nonzero.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import json
 import logging
 import os
+import platform
 import sys
 import time
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .annealing import IterationRecord, cost
 from .config import ConfigError, RunConfig, parse_config_file
 from .experiments import ALL_KINDS, ConfigurationKind, baseline_design, compare_designs, \
-    optimize_configuration, raster_beampattern, sweep_vs_num_antennas, sweep_vs_num_eves
+    optimize_configuration, raster_columns, sweep_vs_num_antennas, sweep_vs_num_eves
+# Not called here since the raster streams by column; kept importable from
+# fdma.cli because perfbench/layers.py places its raster span on this name.
+from .experiments import raster_beampattern  # noqa: F401
 from .model import ArrayDesign, Scenario, wavelength
 from .perturbation import RoundRecord
 from .scenario import place_canonical_eves
@@ -76,6 +84,24 @@ def _write_text(path: Path, text: str) -> None:
         handle.write(text)
 
 
+@contextlib.contextmanager
+def _atomic_open(path: Path) -> Iterator[TextIO]:
+    """Text handle on `<path>.tmp`, renamed to path once the block completes.
+
+    On any exception the temporary file is removed, so a failed run leaves
+    neither a truncated file nor the temporary one behind.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as handle:
+            yield handle
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _write_csv(path: Path, header: list[str], fmt: str, rows: Iterable[tuple],
                footer: dict | None = None) -> None:
     """Header line, then one `fmt % row` line per row tuple, then `# key=value` footers.
@@ -99,10 +125,21 @@ def _write_manifest(out_dir: Path, experiment_id: str, cfg: RunConfig,
         "config": cfg.snapshot(),
         "outputs": sorted(outputs),
         "stage_seconds": stage_seconds,
+        "environment": _environment(),
         "started_utc": started,
         "finished_utc": _utc_now(),
     }
     _write_text(out_dir / "manifest.json", _json_dumps(manifest) + "\n")
+
+
+def _environment() -> dict:
+    "Interpreter and library versions, and the CPUs this process may run on."
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "cpu_count": len(os.sched_getaffinity(0)),
+    }
 
 
 def _utc_now() -> str:
@@ -110,7 +147,10 @@ def _utc_now() -> str:
 
 
 class _Stopwatch:
-    "Wall seconds per named stage; each stage runs from the end of the previous one."
+    """Wall seconds per named stage; each lap runs from the end of the previous one.
+
+    Laps of the same stage add up, so interleaved stages keep separate totals.
+    """
 
     def __init__(self) -> None:
         self.seconds: dict[str, float] = {}
@@ -118,7 +158,7 @@ class _Stopwatch:
 
     def lap(self, stage: str) -> None:
         now = time.perf_counter()
-        self.seconds[stage] = now - self._mark
+        self.seconds[stage] = self.seconds.get(stage, 0.0) + now - self._mark
         self._mark = now
 
 
@@ -161,10 +201,18 @@ def cmd_beampattern(cfg: RunConfig, kind: ConfigurationKind, out_dir: Path) -> N
                                     cfg.f0_hz, cfg.annealer(), cfg.alternation(),
                                     cfg.perturber(), seed=cfg.seed)
     clock.lap("design")
-    x, y, power_db = raster_beampattern(scenario, design, cfg.grid())
-    clock.lap("raster")
-    _write_csv(out_dir / "raster.csv", ["x_m", "y_m", "power_db"], "%.17g,%.17g,%.17g",
-               zip(x.tolist(), y.tolist(), power_db.tolist()))
+    grid = cfg.grid()
+    y_text = ["%.17g" % y for y in grid.y_points().tolist()]
+    with _atomic_open(out_dir / "raster.csv") as handle:
+        handle.write("x_m,y_m,power_db\n")
+        clock.lap("write")
+        # Each column is written as soon as it is computed, so memory stays
+        # bounded by one column whatever the grid size.
+        for x, _, power_db in raster_columns(scenario, design, grid):
+            clock.lap("raster")
+            row = "%.17g," % x + "%s,%.17g\n"
+            handle.writelines(map(row.__mod__, zip(y_text, power_db.tolist())))
+            clock.lap("write")
     _write_text(out_dir / "design.json", _json_dumps(_design_document(design)) + "\n")
     clock.lap("write")
     _write_manifest(out_dir, f"beampattern/{kind.value}", cfg,

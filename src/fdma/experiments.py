@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -131,28 +132,40 @@ def configuration_rate(kind: ConfigurationKind, scenario: Scenario,
     return worst_case_secrecy_rate(scenario, design)
 
 
+def raster_columns(scenario: Scenario, design: ArrayDesign,
+                   grid: GridSpec) -> Iterator[tuple[float, np.ndarray, np.ndarray]]:
+    """Normalized beampattern power over a Cartesian grid, one x column at a time.
+
+    Yields (x, ys, power_db) for each grid x in increasing order: ys holds
+    the grid's y points and power_db the power in dB at (x, ys).  Only one
+    column's phase matrices are held at a time.  The power is exactly 0 dB
+    at the intended receiver and never positive elsewhere.
+    """
+    ys = grid.y_points()
+    norm = design.num_antennas ** 2
+    for x in grid.x_points().tolist():
+        ranges = np.hypot(x, ys)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            cosines = np.where(ranges > 0.0, x / np.where(ranges > 0, ranges, 1.0), 0.0)
+        etas = beampattern_batch(design, ranges, cosines, scenario.bob,
+                                 scenario.speed_of_light)
+        power = np.abs(etas) ** 2 / norm
+        yield x, ys, 10.0 * np.log10(np.maximum(power, 1e-300))
+
+
 def raster_beampattern(scenario: Scenario, design: ArrayDesign,
                        grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Normalized beampattern power over a Cartesian grid, in dB.
 
     Returns the flat arrays (x_m, y_m, power_db), one entry per grid point,
-    row-major over (x, y); the power is exactly 0 dB at the intended
-    receiver and never positive elsewhere.
+    row-major over (x, y): the concatenated blocks of `raster_columns`.
     """
-    xs = grid.x_points()
-    ys = grid.y_points()
-    mesh_x, mesh_y = np.meshgrid(xs, ys, indexing="ij")
-    flat_x = mesh_x.ravel()
-    flat_y = mesh_y.ravel()
-    ranges = np.hypot(flat_x, flat_y)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        cosines = np.where(ranges > 0.0, flat_x / np.where(ranges > 0, ranges, 1.0), 0.0)
-    etas = beampattern_batch(design, ranges, cosines, scenario.bob,
-                             scenario.speed_of_light)
-    m = design.num_antennas
-    power = np.abs(etas) ** 2 / m ** 2
-    power_db = 10.0 * np.log10(np.maximum(power, 1e-300))
-    return flat_x, flat_y, power_db
+    xs, ys, power_db = [], [], []
+    for x, column_ys, column_db in raster_columns(scenario, design, grid):
+        xs.append(np.full(column_ys.size, x))
+        ys.append(column_ys)
+        power_db.append(column_db)
+    return np.concatenate(xs), np.concatenate(ys), np.concatenate(power_db)
 
 
 def _scenario_with_eves(base: Scenario, eves: list[Placement]) -> Scenario:

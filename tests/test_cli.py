@@ -1,16 +1,21 @@
 import hashlib
 import json
 import math
+import os
+import platform
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, strategies as st
 
-from fdma.cli import _fmt, _write_csv
+import fdma.experiments
+from fdma.cli import _fmt, _write_csv, main
 from fdma.config import ConfigError, parse_config_text
 from fdma.model import SPEED_OF_LIGHT
 from fdma.scenario import default_baseline_params, make_linear_fda, place_canonical_eves
@@ -49,11 +54,18 @@ def config_path(tmp_path):
     return path
 
 
-def assert_stage_seconds(out, stages):
+def assert_manifest_telemetry(out, stages):
+    "The manifest's per-stage wall times and the environment the run saw."
     manifest = json.loads((out / "manifest.json").read_text())
     seconds = manifest["stage_seconds"]
     assert sorted(seconds) == sorted(stages)
     assert all(isinstance(v, float) and v >= 0.0 for v in seconds.values())
+    assert manifest["environment"] == {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "cpu_count": len(os.sched_getaffinity(0)),
+    }
 
 
 # Column strategies for the CSV writer: every float kind the tables carry
@@ -155,7 +167,7 @@ class TestBeampatternCommand:
         assert manifest["experiment_id"] == "beampattern/CPA"
         assert manifest["master_seed"] == 424242
         assert "raster.csv" in manifest["outputs"]
-        assert_stage_seconds(out, ["design", "raster", "write"])
+        assert_manifest_telemetry(out, ["design", "raster", "write"])
 
     # Rasters draw no random numbers, so these bytes hold across optimizer
     # changes; the digests were taken from the per-cell writer.
@@ -177,6 +189,48 @@ class TestBeampatternCommand:
         raster = (out / "raster.csv").read_bytes()
         assert raster.count(b"\n") == 1 + 21 * 21
         assert hashlib.sha256(raster).hexdigest() == digest
+
+    def test_peak_memory_bounded_by_a_column(self, tmp_path):
+        # 201 x 200 cells at M = 21: one full-grid N x M complex128 matrix
+        # takes 13.5 MB, a 200-cell column 67 kB.
+        config = tmp_path / "mem.cfg"
+        config.write_text(
+            "f0_hz = 30e9\nm = 21\nk = 3\n"
+            "grid_x_min_m = -100\ngrid_x_max_m = 100\n"
+            "grid_y_min_m = 1\ngrid_y_max_m = 200\n"
+            "grid_resolution_m = 1\n")
+        argv = ["--config", str(config), "--kind", "LINEAR_FDA"]
+        # The warm-up keeps imports and lazy set-up out of the traced peak.
+        assert main([*argv, "--out", str(tmp_path / "warm"), "beampattern"]) == 0
+        tracemalloc.start()
+        try:
+            assert main([*argv, "--out", str(tmp_path / "out"), "beampattern"]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        rows = (tmp_path / "out" / "raster.csv").read_bytes().count(b"\n")
+        assert rows == 1 + 201 * 200
+        assert peak < 201 * 200 * 21 * 16 / 4, f"traced peak {peak / 1e6:.2f} MB"
+
+    def test_failed_raster_leaves_no_file(self, config_path, tmp_path, monkeypatch, capsys):
+        kernel = fdma.experiments.beampattern_batch
+        calls = []
+
+        def failing_kernel(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 3:
+                raise RuntimeError("kernel failed on the third column")
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(fdma.experiments, "beampattern_batch", failing_kernel)
+        out = tmp_path / "out"
+        assert main(["--config", str(config_path), "--out", str(out),
+                     "--kind", "CPA", "beampattern"]) == 1
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record == {"error": "RuntimeError",
+                          "message": "kernel failed on the third column"}
+        assert not (out / "raster.csv").exists()
+        assert not (out / "raster.csv.tmp").exists()
 
     def test_missing_required_key_reported(self, tmp_path):
         bad = tmp_path / "bad.cfg"
@@ -272,7 +326,7 @@ class TestOptimizeCommand:
         best_costs = [float(line.split(",")[4]) for line in lines[1:]
                       if not line.startswith("# ")]
         assert min(best_costs) == footer["final_cost"]
-        assert_stage_seconds(out, ["optimize", "write"])
+        assert_manifest_telemetry(out, ["optimize", "write"])
 
     def test_seed_flag_changes_design(self, config_path, tmp_path):
         docs = []
@@ -300,7 +354,7 @@ class TestSweepCommands:
         assert len(pairs) == 2 * 9 and len(kinds) == 9
         ubs = {int(r[0]): float(r[2]) for r in rows if r[1] == "UPPER_BOUND"}
         assert ubs[5] < ubs[7]
-        assert_stage_seconds(out, ["sweep", "write"])
+        assert_manifest_telemetry(out, ["sweep", "write"])
 
     def test_sweep_k_zero_adversaries_hits_upper_bound(self, config_path, tmp_path):
         out = tmp_path / "out"
@@ -329,4 +383,4 @@ class TestCompareCommand:
         lines = (out / "compare.csv").read_text().splitlines()
         assert lines[0] == "antenna,pos_a_lambda,pos_b_lambda,shift_a_mhz,shift_b_mhz"
         assert len(lines) == 1 + 9
-        assert_stage_seconds(out, ["compare", "write"])
+        assert_manifest_telemetry(out, ["compare", "write"])

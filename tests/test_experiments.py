@@ -2,17 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from fdma.annealing import AlternationConfig, AnnealerConfig, cost
 from fdma.experiments import ALL_KINDS, ConfigurationKind, baseline_design, \
     compare_designs, configuration_rate, mean_rates, optimize_configuration, \
-    raster_beampattern, sweep_vs_num_antennas, sweep_vs_num_eves
-from fdma.model import SPEED_OF_LIGHT, Scenario, snr_bob, wavelength
+    raster_beampattern, raster_columns, sweep_vs_num_antennas, sweep_vs_num_eves
+from fdma.model import SPEED_OF_LIGHT, Scenario, beampattern_batch, snr_bob, wavelength
 from fdma.perturbation import PerturbConfig
-from fdma.scenario import GridSpec, default_baseline_params, make_cpa, make_linear_fda, \
-    place_canonical_eves
+from fdma.scenario import GridSpec, LinkBudgetConfig, default_baseline_params, make_cpa, \
+    make_linear_fda, place_canonical_eves
 
-from conftest import F0
+from conftest import F0, random_design, random_placement
 
 LAM = wavelength(F0)
 
@@ -39,7 +40,58 @@ def link_mod():
     return LinkBudgetConfig()
 
 
+def whole_grid_raster(scenario, design, grid):
+    "Reference: every grid cell in one beampattern_batch call, row-major over (x, y)."
+    mesh_x, mesh_y = np.meshgrid(grid.x_points(), grid.y_points(), indexing="ij")
+    flat_x = mesh_x.ravel()
+    flat_y = mesh_y.ravel()
+    ranges = np.hypot(flat_x, flat_y)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        cosines = np.where(ranges > 0.0, flat_x / np.where(ranges > 0, ranges, 1.0), 0.0)
+    etas = beampattern_batch(design, ranges, cosines, scenario.bob, scenario.speed_of_light)
+    power = np.abs(etas) ** 2 / design.num_antennas ** 2
+    return flat_x, flat_y, 10.0 * np.log10(np.maximum(power, 1e-300))
+
+
+@st.composite
+def raster_grids(draw):
+    "Small grids; the first form puts a sample on the origin (range 0)."
+    nx, ny = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        res = draw(st.sampled_from([0.25, 0.5, 1.0, 3.7]))
+        x_min = -res * draw(st.integers(0, nx))
+        y_min = -res * draw(st.integers(0, ny))
+    else:
+        res = draw(st.floats(0.05, 20.0))
+        x_min = draw(st.floats(-200.0, 200.0))
+        y_min = draw(st.floats(-200.0, 200.0))
+    return GridSpec(x_min, x_min + nx * res, y_min, y_min + ny * res, res)
+
+
 class TestRaster:
+    @given(grid=raster_grids(), m=st.integers(1, 32),
+           kind=st.sampled_from(["CPA", "LINEAR_FDA", "random"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_columns_equal_whole_grid_evaluation(self, grid, m, kind, seed):
+        rng = np.random.default_rng(seed)
+        params = default_baseline_params(m, F0, SPEED_OF_LIGHT)
+        if kind == "CPA":
+            design = make_cpa(m, params, F0)
+        elif kind == "LINEAR_FDA":
+            design = make_linear_fda(m, params, F0)
+        else:
+            design = random_design(rng, m)
+        scenario = Scenario(random_placement(rng, LinkBudgetConfig()), (), 1.0)
+        columns = list(raster_columns(scenario, design, grid))
+        assert [x for x, _, _ in columns] == grid.x_points().tolist()
+        blocks = (np.repeat([x for x, _, _ in columns], grid.y_points().size),
+                  np.concatenate([ys for _, ys, _ in columns]),
+                  np.concatenate([db for _, _, db in columns]))
+        expected = whole_grid_raster(scenario, design, grid)
+        assert all(np.array_equal(u, v) for u, v in zip(blocks, expected))
+        assert all(np.array_equal(u, v)
+                   for u, v in zip(raster_beampattern(scenario, design, grid), expected))
+
     def test_grid_aligned_receiver_cell_is_zero_db(self, bob_mod, link_mod):
         params = default_baseline_params(21, F0, SPEED_OF_LIGHT)
         eves = place_canonical_eves(21, bob_mod, params, link_mod, F0, SPEED_OF_LIGHT)
