@@ -14,6 +14,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,9 +71,8 @@ class AlternationConfig:
             raise ValueError("relative_tolerance must be positive")
 
 
-@dataclass(frozen=True)
-class IterationRecord:
-    "One annealing iteration: candidate cost and acceptance outcome."
+class IterationRecord(NamedTuple):
+    "One annealing iteration (a trace.csv row): candidate cost and acceptance outcome."
 
     iteration: int
     temperature: float

@@ -30,15 +30,11 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .annealing import IterationRecord, cost
+from .annealing import cost
 from .config import ConfigError, RunConfig, parse_config_file
 from .experiments import ALL_KINDS, ConfigurationKind, baseline_design, compare_designs, \
     optimize_configuration, raster_columns, sweep_vs_num_antennas, sweep_vs_num_eves
-# Not called here since the raster streams by column; kept importable from
-# fdma.cli because perfbench/layers.py places its raster span on this name.
-from .experiments import raster_beampattern  # noqa: F401
 from .model import ArrayDesign, Scenario, wavelength
-from .perturbation import RoundRecord
 from .scenario import place_canonical_eves
 
 logger = logging.getLogger("fdma")
@@ -199,7 +195,7 @@ def cmd_beampattern(cfg: RunConfig, kind: ConfigurationKind, out_dir: Path) -> N
     scenario = _canonical_scenario(cfg)
     design = optimize_configuration(kind, scenario, cfg.m, cfg.baseline_params(),
                                     cfg.f0_hz, cfg.annealer(), cfg.alternation(),
-                                    cfg.perturber(), seed=cfg.seed)
+                                    cfg.perturber())
     clock.lap("design")
     grid = cfg.grid()
     y_text = ["%.17g" % y for y in grid.y_points().tolist()]
@@ -226,14 +222,15 @@ def cmd_sweep(cfg: RunConfig, axis: str, out_dir: Path) -> None:
     if axis == "m":
         records = sweep_vs_num_antennas(
             base, list(cfg.m_values), ALL_KINDS, cfg.link_budget(), cfg.f0_hz,
-            cfg.annealer(), cfg.alternation(), cfg.perturber(), cfg.seed)
+            cfg.annealer(), cfg.alternation(), cfg.perturber(), cfg.seed,
+            baseline_params=cfg.baseline_params)
     else:
         kinds = (ConfigurationKind.FDMA_OPT1, ConfigurationKind.FDMA_OPT2)
         records = sweep_vs_num_eves(
             base, list(cfg.k_values), list(cfg.sweep_k_m_values), kinds,
             cfg.link_budget(), cfg.f0_hz, cfg.annealer(), cfg.alternation(),
             cfg.perturber(), cfg.seed, trials=cfg.trials,
-            domain=cfg.eve_domain())
+            domain=cfg.eve_domain(), baseline_params=cfg.baseline_params)
     rows = sorted(
         (rec.sweep_value, rec.configuration.value, rec.secrecy_rate_bps_hz,
          rec.seed, rec.trial)
@@ -252,31 +249,20 @@ def cmd_optimize(cfg: RunConfig, method: str, out_dir: Path) -> None:
     scenario = _canonical_scenario(cfg)
     params = cfg.baseline_params()
     kind = ConfigurationKind.FDMA_OPT1 if method == "sa" else ConfigurationKind.FDMA_OPT2
-    baseline = baseline_design(kind, cfg.m, params, cfg.f0_hz)
-    initial_cost = cost(scenario, baseline)
-
+    initial_cost = cost(scenario, baseline_design(kind, cfg.m, params, cfg.f0_hz))
     trace: list = []
-    if method == "sa":
-        from .annealing import alternate_sa
-
-        design = alternate_sa(scenario, baseline, params, cfg.annealer(),
-                              cfg.alternation(), trace=trace)
-        header = ["iteration", "temperature", "cost", "accepted", "best_cost"]
-        fmt = "%d,%.17g,%.17g,%d,%.17g"
-        rows = [(r.iteration, r.temperature, r.cost, r.accepted, r.best_cost)
-                for r in trace if isinstance(r, IterationRecord)]
-    else:
-        from .perturbation import alternate_perturb
-
-        design = alternate_perturb(scenario, baseline, params, cfg.perturber(),
-                                   trace=trace)
-        header = ["round", "subproblem", "cost", "clip_count"]
-        fmt = "%d,%s,%.17g,%d"
-        rows = [(r.round, r.subproblem, r.cost, r.clip_count)
-                for r in trace if isinstance(r, RoundRecord)]
+    design = optimize_configuration(kind, scenario, cfg.m, params, cfg.f0_hz,
+                                    cfg.annealer(), cfg.alternation(), cfg.perturber(),
+                                    trace=trace)
     final_cost = cost(scenario, design)
     clock.lap("optimize")
-    _write_csv(out_dir / "trace.csv", header, fmt, rows,
+    if method == "sa":
+        header = ["iteration", "temperature", "cost", "accepted", "best_cost"]
+        fmt = "%d,%.17g,%.17g,%d,%.17g"
+    else:
+        header = ["round", "subproblem", "cost", "clip_count"]
+        fmt = "%d,%s,%.17g,%d"
+    _write_csv(out_dir / "trace.csv", header, fmt, trace,
                footer={"initial_cost": initial_cost, "final_cost": final_cost})
     _write_text(out_dir / "design.json", _json_dumps(_design_document(design)) + "\n")
     clock.lap("write")
@@ -292,9 +278,7 @@ def cmd_compare(cfg: RunConfig, design_a: str, design_b: str, out_dir: Path) -> 
     clock.lap("compare")
     _write_csv(out_dir / "compare.csv",
                ["antenna", "pos_a_lambda", "pos_b_lambda", "shift_a_mhz", "shift_b_mhz"],
-               "%d,%.17g,%.17g,%.17g,%.17g",
-               [(r.antenna, r.position_a_wavelengths, r.position_b_wavelengths,
-                 r.shift_a_mhz, r.shift_b_mhz) for r in records])
+               "%d,%.17g,%.17g,%.17g,%.17g", records)
     clock.lap("write")
     _write_manifest(out_dir, "compare", cfg, ["compare.csv"], started, clock.seconds)
 

@@ -25,9 +25,10 @@ from __future__ import annotations
 
 import logging
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,8 +38,8 @@ from .model import ArrayDesign, Placement, Scenario, beampattern_batch, snr_bob,
     wavelength, worst_case_secrecy_rate
 from .perturbation import PerturbConfig
 from .scenario import BaselineParams, DEFAULT_EVE_DOMAIN, GridSpec, LinkBudgetConfig, \
-    PolarDomain, default_baseline_params, derive_seed, make_cpa, make_linear_fda, \
-    place_canonical_eves, sample_eves_outside_target
+    PolarDomain, derive_seed, make_cpa, make_linear_fda, place_canonical_eves, \
+    sample_eves_outside_target
 
 logger = logging.getLogger("fdma.experiments")
 
@@ -82,8 +83,7 @@ class SweepRecord:
     trial: int = 0
 
 
-@dataclass(frozen=True)
-class DesignDiffRecord:
+class DesignDiffRecord(NamedTuple):
     "Per-element comparison of two designs (positions in wavelengths, shifts in MHz)."
 
     antenna: int
@@ -106,11 +106,13 @@ def optimize_configuration(kind: ConfigurationKind, scenario: Scenario,
                            num_antennas: int, params: BaselineParams, f0: float,
                            sa_cfg: AnnealerConfig, alt_cfg: AlternationConfig,
                            perturb_cfg: PerturbConfig,
-                           seed: int | None = None) -> ArrayDesign:
+                           seed: int | None = None,
+                           trace: list | None = None) -> ArrayDesign:
     """Design realizing a configuration kind on the given scenario.
 
     seed overrides the annealer seed for sweep bookkeeping; baselines and
-    the upper bound ignore it.
+    the upper bound ignore it.  trace, when given, receives the optimizer's
+    records (IterationRecord for OPT1 kinds, RoundRecord for OPT2 kinds).
     """
     design = baseline_design(kind, num_antennas, params, f0)
     if kind not in _PHASES:
@@ -119,9 +121,9 @@ def optimize_configuration(kind: ConfigurationKind, scenario: Scenario,
     if kind in SA_KINDS:
         cfg = sa_cfg if seed is None else replace(sa_cfg, seed=seed)
         return annealing.alternate_sa(scenario, design, params, cfg, alt_cfg,
-                                      phases=phases)
+                                      trace=trace, phases=phases)
     return perturbation.alternate_perturb(scenario, design, params, perturb_cfg,
-                                          phases=phases)
+                                          trace=trace, phases=phases)
 
 
 def configuration_rate(kind: ConfigurationKind, scenario: Scenario,
@@ -176,17 +178,20 @@ def sweep_vs_num_antennas(base_scenario: Scenario, m_values: list[int],
                           kinds: tuple[ConfigurationKind, ...],
                           link_cfg: LinkBudgetConfig, f0: float,
                           sa_cfg: AnnealerConfig, alt_cfg: AlternationConfig,
-                          perturb_cfg: PerturbConfig, master_seed: int) -> list[SweepRecord]:
+                          perturb_cfg: PerturbConfig, master_seed: int, *,
+                          baseline_params: Callable[[int], BaselineParams]
+                          ) -> list[SweepRecord]:
     """Secrecy rate versus array size with the three canonical adversaries.
 
-    The adversaries are re-placed for every array size because their
-    sidelobe locations depend on it.
+    baseline_params(M) gives the baseline grid and box constraints for an
+    M-element array.  The adversaries are re-placed for every array size
+    because their sidelobe locations depend on it.
     """
     if any(m < 4 for m in m_values):
         raise ValueError("array-size sweep needs at least four antennas")
     records = []
     for m in m_values:
-        params = default_baseline_params(m, f0, base_scenario.speed_of_light)
+        params = baseline_params(m)
         eves = place_canonical_eves(m, base_scenario.bob, params, link_cfg, f0,
                                     base_scenario.speed_of_light)
         scenario = _scenario_with_eves(base_scenario, eves)
@@ -206,12 +211,16 @@ def sweep_vs_num_eves(base_scenario: Scenario, k_values: list[int], m_values: li
                       sa_cfg: AnnealerConfig, alt_cfg: AlternationConfig,
                       perturb_cfg: PerturbConfig, master_seed: int,
                       trials: int = 20,
-                      domain: PolarDomain | None = None) -> list[SweepRecord]:
+                      domain: PolarDomain | None = None, *,
+                      baseline_params: Callable[[int], BaselineParams]
+                      ) -> list[SweepRecord]:
     """Secrecy rate versus adversary count with random placements per trial.
 
-    Every trial draws max(k_values) adversaries outside the target region
-    and evaluates each requested count on the first K of them, so rates for
-    different counts within a trial share the same adversary draw.
+    baseline_params(M) gives the baseline grid and box constraints for an
+    M-element array.  Every trial draws max(k_values) adversaries outside
+    the target region and evaluates each requested count on the first K of
+    them, so rates for different counts within a trial share the same
+    adversary draw.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -221,7 +230,7 @@ def sweep_vs_num_eves(base_scenario: Scenario, k_values: list[int], m_values: li
     c = base_scenario.speed_of_light
     records = []
     for m in m_values:
-        params = default_baseline_params(m, f0, c)
+        params = baseline_params(m)
         for trial in range(trials):
             eve_seed = derive_seed(master_seed, f"sweep-k/M={m}/trial={trial}")
             all_eves = sample_eves_outside_target(

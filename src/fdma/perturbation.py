@@ -24,6 +24,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -87,9 +88,8 @@ class NullingSystem:
         object.__setattr__(self, "q_diag", q)
 
 
-@dataclass(frozen=True)
-class RoundRecord:
-    "One alternation step: which block was solved and where the cost landed."
+class RoundRecord(NamedTuple):
+    "One alternation step (a trace.csv row): block solved and the cost it reached."
 
     round: int
     subproblem: str

@@ -177,14 +177,8 @@ def make_linear_fda(num_antennas: int, params: BaselineParams, f0: float) -> Arr
 
 
 def place_canonical_eves(num_antennas: int, bob: Placement, params: BaselineParams,
-                         cfg: LinkBudgetConfig, f0: float, c: float,
-                         angular_form: str = "composed") -> list[Placement]:
-    """The three canonical adversaries (see module docstring).
-
-    angular_form selects how E2's angular offset is applied: "composed"
-    keeps the offset inside the angle argument (arccos of cos), "cos_space"
-    applies it to the cosine directly.
-    """
+                         cfg: LinkBudgetConfig, f0: float, c: float) -> list[Placement]:
+    "The three canonical adversaries (see module docstring)."
     if num_antennas < 2:
         raise ValueError("canonical adversaries need at least two antennas")
     d_f = params.uniform_freq_step
@@ -196,12 +190,7 @@ def place_canonical_eves(num_antennas: int, bob: Placement, params: BaselinePara
     if r_e1 <= 0.0:
         raise ValueError("range sidelobe offset places E1 behind the array")
     offset = 3.0 * lam / (2.0 * num_antennas * d_d)
-    if angular_form == "composed":
-        theta_e2 = math.acos(math.cos(bob.angle_rad - offset))
-    elif angular_form == "cos_space":
-        theta_e2 = math.acos(min(1.0, max(-1.0, math.cos(bob.angle_rad) + offset)))
-    else:
-        raise ValueError(f"unknown angular_form {angular_form!r}")
+    theta_e2 = math.acos(math.cos(bob.angle_rad - offset))
     e1 = make_placement(r_e1, bob.angle_rad, cfg)
     e2 = make_placement(bob.range_m, theta_e2, cfg)
     e3 = make_placement(r_e1, theta_e2, cfg)
@@ -209,15 +198,12 @@ def place_canonical_eves(num_antennas: int, bob: Placement, params: BaselinePara
 
 
 def in_target_region(place: Placement, bob: Placement, num_antennas: int,
-                     params: BaselineParams, f0: float, c: float,
-                     angular_form: str = "cos_space") -> bool:
+                     params: BaselineParams, f0: float, c: float) -> bool:
     """Whether a point lies in the first-null neighborhood of the receiver.
 
-    Range band: |R - R_B| <= c / (M |dF|).  Angle band (cos_space form):
-    |cos(theta) - cos(theta_B)| <= lam / (M dD); the "composed" form instead
-    measures the angle distance to the first-null angle obtained by
-    composing arccos(cos(theta_B - lam / (M dD))).  The region is closed,
-    so boundary points are inside.
+    Range band: |R - R_B| <= c / (M |dF|).  Angle band:
+    |cos(theta) - cos(theta_B)| <= lam / (M dD).  The region is closed, so
+    boundary points are inside.
     """
     d_f = params.uniform_freq_step
     d_d = params.uniform_spacing
@@ -228,12 +214,7 @@ def in_target_region(place: Placement, bob: Placement, num_antennas: int,
     if abs(place.range_m - bob.range_m) > range_halfwidth:
         return False
     cos_halfwidth = lam / (num_antennas * d_d)
-    if angular_form == "cos_space":
-        return abs(math.cos(place.angle_rad) - math.cos(bob.angle_rad)) <= cos_halfwidth
-    if angular_form == "composed":
-        first_null = math.acos(math.cos(bob.angle_rad - cos_halfwidth))
-        return abs(place.angle_rad - bob.angle_rad) <= abs(first_null - bob.angle_rad)
-    raise ValueError(f"unknown angular_form {angular_form!r}")
+    return abs(math.cos(place.angle_rad) - math.cos(bob.angle_rad)) <= cos_halfwidth
 
 
 def derive_seed(master_seed: int, label: str) -> int:

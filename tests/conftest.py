@@ -22,6 +22,11 @@ settings.load_profile("default")
 F0 = 30e9
 
 
+def default_grid(m: int):
+    "The library's default baseline grid for an M-element array, as the sweeps take it."
+    return default_baseline_params(m, F0, SPEED_OF_LIGHT)
+
+
 def cli_env() -> dict:
     """Environment for a `python -m fdma` child process.
 

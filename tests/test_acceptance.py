@@ -13,6 +13,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 from scipy.stats import chi2
 
 from fdma.annealing import AlternationConfig, AnnealerConfig, anneal_positions, cost, \
@@ -26,7 +27,7 @@ from fdma.perturbation import PerturbConfig, alternate_perturb, build_frequency_
 from fdma.scenario import BaselineParams, LinkBudgetConfig, default_baseline_params, \
     make_cpa, make_linear_fda, make_placement, place_canonical_eves
 
-from conftest import F0, cli_env, random_design, random_placement
+from conftest import F0, cli_env, default_grid, random_design, random_placement
 
 MASTER_SEED = 20240803
 LAM = wavelength(F0)
@@ -243,6 +244,7 @@ def test_criterion_08_linearization_is_first_order():
     assert elapsed < 5.0
 
 
+@pytest.mark.slow
 def test_criterion_09_rate_trends_versus_array_size():
     start = time.perf_counter()
     base = Scenario(BOB, (), TX_POWER)
@@ -250,7 +252,7 @@ def test_criterion_09_rate_trends_versus_array_size():
     records = sweep_vs_num_antennas(
         base, m_values, ALL_KINDS, LINK, F0,
         AnnealerConfig(max_iterations=5000, seed=0), AlternationConfig(),
-        PerturbConfig(), master_seed=MASTER_SEED)
+        PerturbConfig(), master_seed=MASTER_SEED, baseline_params=default_grid)
     rates = {(r.sweep_value, r.configuration): r.secrecy_rate_bps_hz for r in records}
 
     ubs = [rates[(m, Kind.UPPER_BOUND)] for m in m_values]
@@ -288,6 +290,7 @@ def test_criterion_09_rate_trends_versus_array_size():
     assert elapsed < 600.0
 
 
+@pytest.mark.slow
 def test_criterion_10_rate_trends_versus_adversary_count():
     start = time.perf_counter()
     base = Scenario(BOB, (), TX_POWER)
@@ -295,7 +298,8 @@ def test_criterion_10_rate_trends_versus_adversary_count():
     records = sweep_vs_num_eves(
         base, [1, 3, 6], [21], kinds, LINK, F0,
         AnnealerConfig(max_iterations=5000, seed=0), AlternationConfig(),
-        PerturbConfig(), master_seed=MASTER_SEED, trials=20)
+        PerturbConfig(), master_seed=MASTER_SEED, trials=20,
+        baseline_params=default_grid)
     means = mean_rates(records)
     seq1 = [means[(k, Kind.FDMA_OPT1)] for k in (1, 3, 6)]
     seq2 = [means[(k, Kind.FDMA_OPT2)] for k in (1, 3, 6)]

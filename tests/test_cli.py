@@ -17,10 +17,25 @@ from hypothesis import given, strategies as st
 import fdma.experiments
 from fdma.cli import _fmt, _write_csv, main
 from fdma.config import ConfigError, parse_config_text
+from fdma.experiments import ALL_KINDS, sweep_vs_num_antennas
 from fdma.model import SPEED_OF_LIGHT
 from fdma.scenario import default_baseline_params, make_linear_fda, place_canonical_eves
 
 from conftest import F0, cli_env
+
+# Small optimizer budgets for the pinned-bytes runs of optimize and the sweeps.
+PIN_CONFIG = """\
+f0_hz = 30e9
+m = 9
+k = 3
+seed = 11
+m_values = 5, 7
+k_values = 1, 2
+sweep_k_m_values = 9
+trials = 1
+sa_iterations = 200
+sa_rounds = 1
+"""
 
 BASE_CONFIG = """
 # stock scenario, shrunk for test runtimes
@@ -340,7 +355,61 @@ class TestOptimizeCommand:
         assert docs[0]["positions_m"] != docs[1]["positions_m"]
 
 
+class TestOptimizerOutputsPinned:
+    # The optimizer runs draw their randomness from fixed seeds, so any
+    # change of design, random stream or formatting shows in these bytes.
+    @pytest.mark.parametrize("args,digests", [
+        (["optimize", "--method", "sa"], {
+            "trace.csv": "321303a02d93aa48cc35f9a26c692616792e6f341719dbb83212b6ba4c87440a",
+            "design.json": "804b5b9daf2373b463352837403125a3fc624ea68da6f122740d3a75620d3e4f",
+        }),
+        (["optimize", "--method", "perturb"], {
+            "trace.csv": "ddf35442ad59d972cd2b48c93e2497caefc47192d830a121d99b7e08a86ef53b",
+            "design.json": "ef5cd2e0d7d75605721c6a285e9869d24216ff59ae7c7b02f17546a2246e6e27",
+        }),
+        (["sweep-m"], {
+            "sweep.csv": "873f28b9c1a45ddee09c94277ac1d788ea1cee09aaab4537a3455692dfac9013",
+        }),
+        (["sweep-k"], {
+            "sweep.csv": "c80482743aa066e7bd0148c23976ceb84a7daa49c58a29d5024a4cf3d03f6593",
+        }),
+    ], ids=["sa", "perturb", "sweep-m", "sweep-k"])
+    def test_output_bytes_pinned(self, tmp_path, args, digests):
+        config = tmp_path / "pin.cfg"
+        config.write_text(PIN_CONFIG)
+        out = tmp_path / "out"
+        result = run_cli(["--config", str(config), "--out", str(out), *args], tmp_path)
+        assert result.returncode == 0, result.stderr
+        assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                for name in digests} == digests
+
+
 class TestSweepCommands:
+    def test_sweep_m_uses_config_baseline_grid(self, tmp_path):
+        # A non-default frequency step moves the canonical adversaries and the
+        # linear ramp, so the sweep must change and match the library sweep
+        # run on the config's own baseline grid.
+        outs = {}
+        for name, extra in (("default", ""), ("step", "delta_f_hz = -2e6\n")):
+            config = tmp_path / f"{name}.cfg"
+            config.write_text(PIN_CONFIG + extra)
+            outs[name] = tmp_path / name
+            result = run_cli(["--config", str(config), "--out", str(outs[name]),
+                              "sweep-m"], tmp_path)
+            assert result.returncode == 0, result.stderr
+        lines = (outs["step"] / "sweep.csv").read_text().splitlines()
+        assert lines != (outs["default"] / "sweep.csv").read_text().splitlines()
+        cfg = parse_config_text(PIN_CONFIG + "delta_f_hz = -2e6\n")
+        records = sweep_vs_num_antennas(
+            cfg.base_scenario(), list(cfg.m_values), ALL_KINDS, cfg.link_budget(),
+            cfg.f0_hz, cfg.annealer(), cfg.alternation(), cfg.perturber(), cfg.seed,
+            baseline_params=cfg.baseline_params)
+        expected = sorted((r.sweep_value, r.configuration.value, r.secrecy_rate_bps_hz,
+                           r.seed, r.trial) for r in records)
+        rows = [line.split(",") for line in lines[1:]]
+        assert [(int(r[0]), r[1], float(r[2]), int(r[3]), int(r[4])) for r in rows] \
+            == expected
+
     def test_sweep_m_rows_and_upper_bound(self, config_path, tmp_path):
         out = tmp_path / "out"
         result = run_cli(["--config", str(config_path), "--out", str(out), "sweep-m"],

@@ -13,7 +13,7 @@ from fdma.perturbation import PerturbConfig
 from fdma.scenario import GridSpec, LinkBudgetConfig, default_baseline_params, make_cpa, \
     make_linear_fda, place_canonical_eves
 
-from conftest import F0, random_design, random_placement
+from conftest import F0, default_grid, random_design, random_placement
 
 LAM = wavelength(F0)
 
@@ -136,7 +136,7 @@ class TestRaster:
 def records(base_scenario, link_mod):
     return sweep_vs_num_antennas(
         base_scenario, [5, 7], ALL_KINDS, link_mod, F0, FAST_SA, FAST_ALT,
-        PerturbConfig(), master_seed=11)
+        PerturbConfig(), master_seed=11, baseline_params=default_grid)
 
 
 class TestSweepVsNumAntennas:
@@ -173,13 +173,14 @@ class TestSweepVsNumAntennas:
     def test_deterministic(self, base_scenario, link_mod, records):
         again = sweep_vs_num_antennas(
             base_scenario, [5, 7], ALL_KINDS, link_mod, F0, FAST_SA, FAST_ALT,
-            PerturbConfig(), master_seed=11)
+            PerturbConfig(), master_seed=11, baseline_params=default_grid)
         assert again == records
 
     def test_rejects_tiny_arrays(self, base_scenario, link_mod):
         with pytest.raises(ValueError):
             sweep_vs_num_antennas(base_scenario, [3], ALL_KINDS, link_mod, F0,
-                                  FAST_SA, FAST_ALT, PerturbConfig(), master_seed=0)
+                                  FAST_SA, FAST_ALT, PerturbConfig(), master_seed=0,
+                                  baseline_params=default_grid)
 
 
 class TestSweepVsNumEves:
@@ -187,7 +188,8 @@ class TestSweepVsNumEves:
         records = sweep_vs_num_eves(
             base_scenario, [0], [9], (ConfigurationKind.FDMA_OPT1,
                                       ConfigurationKind.FDMA_OPT2),
-            link_mod, F0, FAST_SA, FAST_ALT, PerturbConfig(), master_seed=3, trials=2)
+            link_mod, F0, FAST_SA, FAST_ALT, PerturbConfig(), master_seed=3, trials=2,
+            baseline_params=default_grid)
         params = default_baseline_params(9, F0, SPEED_OF_LIGHT)
         ub = math.log2(1.0 + snr_bob(base_scenario, make_cpa(9, params, F0)))
         for rec in records:
@@ -196,7 +198,7 @@ class TestSweepVsNumEves:
     def test_rows_depend_only_on_own_label(self, base_scenario, link_mod):
         kwargs = dict(k_values=[1, 2], m_values=[9], link_cfg=link_mod, f0=F0,
                       sa_cfg=FAST_SA, alt_cfg=FAST_ALT, perturb_cfg=PerturbConfig(),
-                      master_seed=17, trials=3)
+                      master_seed=17, trials=3, baseline_params=default_grid)
         both = sweep_vs_num_eves(base_scenario, kinds=(ConfigurationKind.FDMA_OPT1,
                                                        ConfigurationKind.FDMA_OPT2),
                                  **kwargs)

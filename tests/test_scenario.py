@@ -121,14 +121,6 @@ class TestTargetRegion:
         place = make_placement(bob.range_m + halfwidth, bob.angle_rad, link_cfg)
         assert in_target_region(place, bob, 21, default_params, F0, SPEED_OF_LIGHT)
 
-    def test_composed_angle_form_agrees_near_boundary(self, bob, default_params, link_cfg):
-        inside = make_placement(bob.range_m, bob.angle_rad + 1e-4, link_cfg)
-        assert in_target_region(inside, bob, 21, default_params, F0, SPEED_OF_LIGHT,
-                                angular_form="composed")
-        outside = make_placement(bob.range_m, bob.angle_rad + 0.5, link_cfg)
-        assert not in_target_region(outside, bob, 21, default_params, F0, SPEED_OF_LIGHT,
-                                    angular_form="composed")
-
 
 class TestSampling:
     def test_deterministic_for_fixed_seed(self, bob, default_params, link_cfg):
