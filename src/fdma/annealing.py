@@ -7,6 +7,10 @@ the total span never exceeds the aperture.  One coordinate is redrawn per
 iteration from a uniform proposal; worse moves are accepted with
 probability exp(-dJ / T) under a geometric cooling schedule T_t = alpha^t T0.
 The best state ever visited is returned.
+
+One loop drives a move object per phase.  A candidate's cost is always the
+floating-point computation cost() does on the candidate design, bit for bit;
+the shift phase only caches the parts of it that its fixed positions fix.
 """
 
 from __future__ import annotations
@@ -18,7 +22,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import ArrayDesign, Scenario, eve_gains
+from .model import ArrayDesign, Scenario, _bob_path, _bob_phasors, _probe_paths, \
+    _probe_phasors, eve_gains
 from .scenario import BaselineParams
 
 logger = logging.getLogger("fdma.annealing")
@@ -110,7 +115,11 @@ def reconstruct_positions(spacing_vec: np.ndarray, aperture_half_width: float) -
         raise InfeasibleSpacingError(
             f"total span {span:.6g} exceeds aperture 2D = {limit:.6g}"
         )
-    return np.concatenate(([-span / 2.0], -span / 2.0 + np.cumsum(d)))
+    positions = np.empty(d.size + 1)
+    positions[0] = -span / 2.0
+    d.cumsum(out=positions[1:])
+    positions[1:] += -span / 2.0
+    return positions
 
 
 def adaptive_max_spacing(spacing_vec: np.ndarray, index: int,
@@ -127,7 +136,7 @@ def metropolis_accept(delta_cost: float, temperature: float,
         return True
     if temperature <= 0.0:
         return False
-    return math.exp(-delta_cost / temperature) >= rng.uniform(0.0, 1.0)
+    return math.exp(-delta_cost / temperature) >= rng.random()
 
 
 def _check_optimizable(scenario: Scenario, design: ArrayDesign) -> None:
@@ -157,24 +166,132 @@ def _initial_spacings(design: ArrayDesign, params: BaselineParams) -> np.ndarray
     return d
 
 
-def _anneal_loop(state: np.ndarray, evaluate, propose, cfg: AnnealerConfig,
-                 rng: np.random.Generator, trace: list | None) -> tuple[np.ndarray, float]:
-    "Shared single-coordinate annealing loop; returns the best visited state."
-    current = state.copy()
-    current_cost = evaluate(current)
-    best, best_cost = current.copy(), current_cost
+def _uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
+    """rng.uniform(lo, hi) for scalar bounds, at a fraction of its call overhead.
+
+    numpy computes uniform as lo + (hi - lo) * next_double, so this gives the
+    same value and leaves the generator in the same state.
+    """
+    return lo + (hi - lo) * rng.random()
+
+
+class _PositionMove:
+    """Position-phase state: one spacing redrawn per candidate, shifts fixed.
+
+    Every move recentres the array, so each candidate's cost goes through
+    eve_gains on the reconstructed positions.
+    """
+
+    __slots__ = ("cost", "_scenario", "_shifts", "_f0", "_min_spacing", "_half_width",
+                 "_spacings", "_candidate", "_candidate_cost")
+
+    def __init__(self, scenario: Scenario, spacing_vec: np.ndarray, shifts: np.ndarray,
+                 f0: float, params: BaselineParams):
+        self._scenario, self._shifts, self._f0 = scenario, shifts, f0
+        self._min_spacing = params.min_spacing
+        self._half_width = params.aperture_half_width
+        self._spacings = spacing_vec.copy()
+        self.cost = self._evaluate(self._spacings)
+
+    def _evaluate(self, spacing_vec: np.ndarray) -> float:
+        positions = reconstruct_positions(spacing_vec, self._half_width)
+        return _raw_cost(self._scenario, positions, self._shifts, self._f0)
+
+    def propose(self, rng: np.random.Generator) -> float:
+        d = self._spacings
+        m = int(rng.integers(d.size))
+        upper = adaptive_max_spacing(d, m, self._half_width)
+        candidate = d.copy()
+        candidate[m] = _uniform(rng, self._min_spacing, upper)
+        self._candidate = candidate
+        self._candidate_cost = self._evaluate(candidate)
+        return self._candidate_cost
+
+    def accept(self) -> None:
+        self._spacings, self.cost = self._candidate, self._candidate_cost
+
+    def reject(self) -> None:
+        pass
+
+    def state(self) -> np.ndarray:
+        return self._spacings.copy()
+
+
+class _ShiftMove:
+    """Shift-phase state: one element's shift redrawn per candidate, positions fixed.
+
+    The adversary path matrix and the receiver path are built once.  The
+    phasor matrix and receiver vector of the current state are kept; a
+    candidate for element m recomputes column m and entry m through the
+    model's kernel pieces, and a rejection restores them.  evaluate() is
+    then cost() of the cached design, bit for bit.
+    """
+
+    __slots__ = ("cost", "_weights", "_f0", "_c", "_lo", "_hi", "_shifts", "_paths",
+                 "_bob_path", "_phasors", "_bob", "_undo", "_candidate_cost")
+
+    def __init__(self, scenario: Scenario, positions: np.ndarray, shifts: np.ndarray,
+                 f0: float, bounds: tuple[float, float]):
+        self._weights = scenario.eve_weights
+        self._f0, self._c = f0, scenario.speed_of_light
+        self._lo, self._hi = bounds
+        self._shifts = np.array(shifts, dtype=float)
+        self._paths = _probe_paths(scenario.eve_ranges, scenario.eve_cosines, positions)
+        self._bob_path = _bob_path(scenario.bob, positions)
+        f_over_c = (f0 + self._shifts) / self._c
+        self._phasors = _probe_phasors(self._paths, f_over_c)
+        self._bob = _bob_phasors(self._bob_path, f_over_c)
+        self.cost = self.evaluate()
+
+    def evaluate(self) -> float:
+        "cost() of the design whose phasors are cached, as _raw_cost computes it."
+        gains = np.abs(self._phasors @ self._bob) ** 2
+        return float(self._weights @ gains) / self._shifts.size
+
+    def propose(self, rng: np.random.Generator) -> float:
+        m = int(rng.integers(self._shifts.size))
+        shift = _uniform(rng, self._lo, self._hi)
+        f_over_c = (self._f0 + shift) / self._c
+        self._undo = (m, shift, self._phasors[:, m].copy(), self._bob[m])
+        self._phasors[:, m] = _probe_phasors(self._paths[:, m], f_over_c)
+        self._bob[m] = _bob_phasors(self._bob_path[m], f_over_c)
+        self._candidate_cost = self.evaluate()
+        return self._candidate_cost
+
+    def accept(self) -> None:
+        m, shift, _, _ = self._undo
+        self._shifts[m], self.cost = shift, self._candidate_cost
+
+    def reject(self) -> None:
+        m, _, column, entry = self._undo
+        self._phasors[:, m] = column
+        self._bob[m] = entry
+
+    def state(self) -> np.ndarray:
+        return self._shifts.copy()
+
+
+def _anneal_loop(move, cfg: AnnealerConfig, rng: np.random.Generator,
+                 trace: list | None) -> tuple[np.ndarray, float]:
+    """Shared single-coordinate annealing loop; returns the best visited state.
+
+    move holds the current state and its cost; propose() draws a candidate
+    and returns its cost, and accept() or reject() settles it.
+    """
+    best, best_cost = move.state(), move.cost
     t0 = cfg.initial_temperature
     if t0 is None:
-        t0 = max(current_cost, 1e-12)
+        t0 = max(move.cost, 1e-12)
     for t in range(1, cfg.max_iterations + 1):
         temperature = t0 * cfg.cooling_factor ** t
-        candidate = propose(current, rng)
-        candidate_cost = evaluate(candidate)
-        accepted = metropolis_accept(candidate_cost - current_cost, temperature, rng)
+        candidate_cost = move.propose(rng)
+        accepted = metropolis_accept(candidate_cost - move.cost, temperature, rng)
         if accepted:
-            current, current_cost = candidate, candidate_cost
-            if current_cost < best_cost:
-                best, best_cost = current.copy(), current_cost
+            move.accept()
+            if candidate_cost < best_cost:
+                best, best_cost = move.state(), candidate_cost
+        else:
+            move.reject()
         if trace is not None:
             trace.append(IterationRecord(t, temperature, candidate_cost, accepted, best_cost))
     return best, best_cost
@@ -190,24 +307,11 @@ def anneal_positions(scenario: Scenario, design: ArrayDesign, params: BaselinePa
     _check_optimizable(scenario, design)
     if design.num_antennas == 1:
         return design
-    d0 = _initial_spacings(design, params)
-    shifts = design.freq_shifts
-
-    def evaluate(d: np.ndarray) -> float:
-        return _raw_cost(scenario, reconstruct_positions(d, params.aperture_half_width),
-                         shifts, design.f0)
-
-    def propose(d: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        m = int(rng.integers(d.size))
-        upper = adaptive_max_spacing(d, m, params.aperture_half_width)
-        candidate = d.copy()
-        candidate[m] = rng.uniform(params.min_spacing, upper)
-        return candidate
-
-    rng = np.random.default_rng(cfg.seed)
-    best_d, _ = _anneal_loop(d0, evaluate, propose, cfg, rng, trace)
+    move = _PositionMove(scenario, _initial_spacings(design, params), design.freq_shifts,
+                         design.f0, params)
+    best_d, _ = _anneal_loop(move, cfg, np.random.default_rng(cfg.seed), trace)
     positions = reconstruct_positions(best_d, params.aperture_half_width)
-    return ArrayDesign(positions, design.f0, shifts)
+    return ArrayDesign(positions, design.f0, design.freq_shifts)
 
 
 def anneal_freq_shifts(scenario: Scenario, design: ArrayDesign, params: BaselineParams,
@@ -218,22 +322,10 @@ def anneal_freq_shifts(scenario: Scenario, design: ArrayDesign, params: Baseline
     first, so every state visited is feasible.
     """
     _check_optimizable(scenario, design)
-    lo, hi = params.freq_shift_bounds
-    start = _boxed_shifts(design.freq_shifts, params)
-    positions = design.positions
-
-    def evaluate(shifts: np.ndarray) -> float:
-        return _raw_cost(scenario, positions, shifts, design.f0)
-
-    def propose(shifts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        m = int(rng.integers(shifts.size))
-        candidate = shifts.copy()
-        candidate[m] = rng.uniform(lo, hi)
-        return candidate
-
-    rng = np.random.default_rng(cfg.seed)
-    best_shifts, _ = _anneal_loop(start.copy(), evaluate, propose, cfg, rng, trace)
-    return ArrayDesign(positions, design.f0, best_shifts)
+    move = _ShiftMove(scenario, design.positions, _boxed_shifts(design.freq_shifts, params),
+                      design.f0, params.freq_shift_bounds)
+    best_shifts, _ = _anneal_loop(move, cfg, np.random.default_rng(cfg.seed), trace)
+    return ArrayDesign(design.positions, design.f0, best_shifts)
 
 
 def alternate_sa(scenario: Scenario, init: ArrayDesign, params: BaselineParams,
@@ -273,3 +365,39 @@ def alternate_sa(scenario: Scenario, init: ArrayDesign, params: BaselineParams,
         if improvement < alt_cfg.relative_tolerance:
             break
     return best_design
+
+
+def _first_iteration_below(cooling_factor: float, ratio: float) -> int:
+    "First iteration t >= 1 whose schedule ratio T/T0 = cooling_factor**t is below ratio."
+    t = max(1, math.ceil(math.log(ratio) / math.log(cooling_factor)))
+    while t > 1 and cooling_factor ** (t - 1) < ratio:
+        t -= 1
+    while not cooling_factor ** t < ratio:
+        t += 1
+    return t
+
+
+def schedule_summary(trace: list, cooling_factor: float) -> dict:
+    """Where an annealing run spent its iterations on the cooling schedule.
+
+    Counts the IterationRecords of trace (all phases together) and their
+    acceptances per decade of T/T0 = cooling_factor**t, from 10^0 down to
+    10^-10, then below.  freeze_iteration is the first t with T/T0 < 1e-10,
+    past which the walk is in effect greedy descent.
+    """
+    edges = [float(f"1e-{j}") for j in range(11)]
+    # starts[j] is the first t with T/T0 < 10^-(j+1); decade j holds the t
+    # with starts[j-1] <= t < starts[j].
+    starts = [_first_iteration_below(cooling_factor, edge) for edge in edges[1:]]
+    t = np.fromiter((rec.iteration for rec in trace), dtype=np.int64, count=len(trace))
+    accepted = np.fromiter((rec.accepted for rec in trace), dtype=bool, count=len(trace))
+    decade = np.searchsorted(starts, t, side="right")
+    iterations = np.bincount(decade, minlength=len(edges))
+    acceptances = np.bincount(decade[accepted], minlength=len(edges))
+    labels = [f"{low:g} to {high:g}" for low, high in zip(edges[1:], edges)]
+    labels.append(f"below {edges[-1]:g}")
+    return {
+        "freeze_iteration": starts[-1],
+        "decades": [{"t_over_t0": label, "iterations": int(n), "accepted": int(a)}
+                    for label, n, a in zip(labels, iterations, acceptances)],
+    }

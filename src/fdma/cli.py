@@ -30,7 +30,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .annealing import cost
+from .annealing import cost, schedule_summary
 from .config import ConfigError, RunConfig, parse_config_file
 from .experiments import ALL_KINDS, ConfigurationKind, baseline_design, compare_designs, \
     optimize_configuration, raster_columns, sweep_vs_num_antennas, sweep_vs_num_eves
@@ -113,7 +113,8 @@ def _write_csv(path: Path, header: list[str], fmt: str, rows: Iterable[tuple],
 
 
 def _write_manifest(out_dir: Path, experiment_id: str, cfg: RunConfig,
-                    outputs: list[str], started: str, stage_seconds: dict) -> None:
+                    outputs: list[str], started: str, stage_seconds: dict,
+                    extra: dict | None = None) -> None:
     manifest = {
         "experiment_id": experiment_id,
         "tool_version": __version__,
@@ -124,6 +125,7 @@ def _write_manifest(out_dir: Path, experiment_id: str, cfg: RunConfig,
         "environment": _environment(),
         "started_utc": started,
         "finished_utc": _utc_now(),
+        **(extra or {}),
     }
     _write_text(out_dir / "manifest.json", _json_dumps(manifest) + "\n")
 
@@ -266,8 +268,9 @@ def cmd_optimize(cfg: RunConfig, method: str, out_dir: Path) -> None:
                footer={"initial_cost": initial_cost, "final_cost": final_cost})
     _write_text(out_dir / "design.json", _json_dumps(_design_document(design)) + "\n")
     clock.lap("write")
+    extra = {"annealer": schedule_summary(trace, cfg.sa_cooling)} if method == "sa" else None
     _write_manifest(out_dir, f"optimize/{method}", cfg,
-                    ["design.json", "trace.csv"], started, clock.seconds)
+                    ["design.json", "trace.csv"], started, clock.seconds, extra)
     logger.info("optimize %s: cost %.6g -> %.6g", method, initial_cost, final_cost)
 
 

@@ -108,6 +108,31 @@ class RunConfig:
             raise ConfigError("need at least one antenna", key="m")
         if self.k < 0:
             raise ConfigError("adversary count must be non-negative", key="k")
+        self._check_baseline_grid()
+
+    def _check_baseline_grid(self) -> None:
+        """The uniform baseline grid of every array size the run may build fits its box.
+
+        Checked at parse time, so a sweep fails before its first job rather
+        than at the first array size whose grid does not fit.
+        """
+        if self.delta_d_over_lambda < self.min_spacing_over_lambda:
+            raise ConfigError(
+                f"baseline spacing {self.delta_d_over_lambda:g} wavelengths is below the "
+                f"minimum spacing min_spacing_over_lambda = {self.min_spacing_over_lambda:g}",
+                key="delta_d_over_lambda")
+        sizes = [("m", self.m)] + [(key, m) for key in ("m_values", "sweep_k_m_values")
+                                   for m in getattr(self, key)]
+        for key, m in sizes:
+            aperture, source = self.aperture_over_lambda, "aperture_over_lambda"
+            if aperture is None:
+                aperture, source = m, "aperture_over_lambda unset, so M"
+            span = (m - 1) * self.delta_d_over_lambda
+            if span > 2.0 * aperture:
+                raise ConfigError(
+                    f"baseline grid of M = {m} elements spans (M - 1) x "
+                    f"delta_d_over_lambda = {span:g} wavelengths, wider than the "
+                    f"aperture 2 x {aperture:g} wavelengths ({source})", key=key)
 
     # -- derived objects -------------------------------------------------
 

@@ -178,13 +178,37 @@ def beampattern(design: ArrayDesign, probe: Placement, bob: Placement,
                            steering_vector(design, bob, c)))
 
 
+# The gain kernel in four pieces.  _eta composes them; the annealer's shift
+# phase keeps their outputs and recomputes one element's column and entry
+# through the same pieces, so both paths do the same arithmetic on the same
+# values.  Each piece is elementwise in the element axis.
+
+def _probe_paths(ranges: np.ndarray, cosines: np.ndarray,
+                 positions: np.ndarray) -> np.ndarray:
+    "Path lengths R_k - x_m cos(theta_k): probes along axis 0, elements along axis 1."
+    return ranges[:, None] - cosines[:, None] * positions
+
+
+def _bob_path(bob: Placement, positions: np.ndarray) -> np.ndarray:
+    "Path lengths from the elements to the intended receiver."
+    return bob.range_m - positions * math.cos(bob.angle_rad)
+
+
+def _probe_phasors(paths: np.ndarray, f_over_c) -> np.ndarray:
+    "Conjugate steering entries exp(+2 pi j path f / c) at the probes."
+    return np.exp(2j * np.pi * (paths * f_over_c))
+
+
+def _bob_phasors(bob_path, f_over_c):
+    "Steering entries exp(-2 pi j f path / c) at the intended receiver."
+    return np.exp(-2j * np.pi * f_over_c * bob_path)
+
+
 def _eta(positions: np.ndarray, f_over_c: np.ndarray, ranges: np.ndarray,
          cosines: np.ndarray, bob: Placement) -> np.ndarray:
     "Beampattern at probes (ranges, cosines) of elements at positions radiating f/c."
-    probe_phase = (ranges[:, None] - np.outer(cosines, positions)) * f_over_c[None, :]
-    bob_path = bob.range_m - positions * math.cos(bob.angle_rad)
-    bob_vec = np.exp(-2j * np.pi * f_over_c * bob_path)
-    return np.exp(2j * np.pi * probe_phase) @ bob_vec
+    return (_probe_phasors(_probe_paths(ranges, cosines, positions), f_over_c)
+            @ _bob_phasors(_bob_path(bob, positions), f_over_c))
 
 
 def beampattern_batch(design: ArrayDesign, ranges_m: np.ndarray,

@@ -37,6 +37,18 @@ sa_iterations = 200
 sa_rounds = 1
 """
 
+# The stock shape with two rounds of 2,000 iterations: past iteration 449
+# the schedule is frozen and cost deltas sit near zero, where a change of
+# floating-point arithmetic in the annealer would first flip a decision.
+PIN_CONFIG_M21 = """\
+f0_hz = 30e9
+m = 21
+k = 3
+seed = 11
+sa_iterations = 2000
+sa_rounds = 2
+"""
+
 BASE_CONFIG = """
 # stock scenario, shrunk for test runtimes
 f0_hz = 30e9
@@ -69,9 +81,17 @@ def config_path(tmp_path):
     return path
 
 
-def assert_manifest_telemetry(out, stages):
-    "The manifest's per-stage wall times and the environment the run saw."
+def assert_manifest_telemetry(out, stages, cooling_factor=None):
+    """The manifest's per-stage wall times and the environment the run saw.
+
+    For an annealing run (cooling_factor given) also its schedule summary,
+    recounted from trace.csv; other runs carry none.
+    """
     manifest = json.loads((out / "manifest.json").read_text())
+    if cooling_factor is None:
+        assert "annealer" not in manifest
+    else:
+        assert_annealer_summary(manifest["annealer"], out / "trace.csv", cooling_factor)
     seconds = manifest["stage_seconds"]
     assert sorted(seconds) == sorted(stages)
     assert all(isinstance(v, float) and v >= 0.0 for v in seconds.values())
@@ -81,6 +101,26 @@ def assert_manifest_telemetry(out, stages):
         "scipy": scipy.__version__,
         "cpu_count": len(os.sched_getaffinity(0)),
     }
+
+
+def assert_annealer_summary(summary, trace_csv, alpha):
+    "Iterations and acceptances per decade of T/T0 = alpha**t, recounted from the trace."
+    t_freeze = 1
+    while alpha ** t_freeze >= 1e-10:
+        t_freeze += 1
+    assert summary["freeze_iteration"] == t_freeze
+    rows = [line.split(",") for line in trace_csv.read_text().splitlines()[1:]
+            if not line.startswith("# ")]
+    edges = [float(f"1e-{j}") for j in range(11)] + [0.0]
+    expected = []
+    for j in range(11):
+        inside = [r for r in rows if edges[j + 1] <= alpha ** int(r[0]) < edges[j]]
+        expected.append({"t_over_t0": f"{edges[j + 1]:g} to {edges[j]:g}",
+                         "iterations": len(inside),
+                         "accepted": sum(r[3] == "1" for r in inside)})
+    expected[-1]["t_over_t0"] = "below 1e-10"
+    assert summary["decades"] == expected
+    assert sum(row["iterations"] for row in summary["decades"]) == len(rows)
 
 
 # Column strategies for the CSV writer: every float kind the tables carry
@@ -161,6 +201,33 @@ class TestConfigParsing:
     def test_comments_and_blank_lines(self):
         cfg = parse_config_text("\n# comment\nf0_hz = 30e9  # trailing\n\n")
         assert cfg.f0_hz == 30e9
+
+    @pytest.mark.parametrize("text,key,m", [
+        ("aperture_over_lambda = 5\nm = 21", "m", 21),
+        ("aperture_over_lambda = 5\nm = 11\nm_values = 11, 21\nsweep_k_m_values = 11",
+         "m_values", 21),
+        ("aperture_over_lambda = 5\nm = 11\nm_values = 11\nsweep_k_m_values = 11, 15",
+         "sweep_k_m_values", 15),
+        # An unset aperture_over_lambda means M wavelengths: at M = 5 the span
+        # 4 x 2.5 fits 2 x 5, at M = 6 the span 5 x 2.5 exceeds 2 x 6.
+        ("delta_d_over_lambda = 2.5\nm = 5\nm_values = 5\nsweep_k_m_values = 5, 6",
+         "sweep_k_m_values", 6),
+    ])
+    def test_baseline_grid_wider_than_aperture(self, text, key, m):
+        with pytest.raises(ConfigError) as err:
+            parse_config_text("f0_hz = 30e9\n" + text)
+        assert err.value.key == key
+        assert f"M = {m} " in str(err.value)
+
+    def test_baseline_grid_that_fits_is_accepted(self):
+        cfg = parse_config_text("f0_hz = 30e9\naperture_over_lambda = 7.5\nm = 21\n"
+                                "m_values = 21\nsweep_k_m_values = 11, 21")
+        assert cfg.aperture_over_lambda == 7.5
+
+    def test_baseline_spacing_below_minimum(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config_text("f0_hz = 30e9\ndelta_d_over_lambda = 0.4")
+        assert err.value.key == "delta_d_over_lambda"
 
     def test_uppercase_aliases(self):
         cfg = parse_config_text("f0_hz = 30e9\nM = 13\nK = 2")
@@ -341,7 +408,8 @@ class TestOptimizeCommand:
         best_costs = [float(line.split(",")[4]) for line in lines[1:]
                       if not line.startswith("# ")]
         assert min(best_costs) == footer["final_cost"]
-        assert_manifest_telemetry(out, ["optimize", "write"])
+        assert_manifest_telemetry(out, ["optimize", "write"],
+                                  cooling_factor=parse_config_text(BASE_CONFIG).sa_cooling)
 
     def test_seed_flag_changes_design(self, config_path, tmp_path):
         docs = []
@@ -358,27 +426,31 @@ class TestOptimizeCommand:
 class TestOptimizerOutputsPinned:
     # The optimizer runs draw their randomness from fixed seeds, so any
     # change of design, random stream or formatting shows in these bytes.
-    @pytest.mark.parametrize("args,digests", [
-        (["optimize", "--method", "sa"], {
+    @pytest.mark.parametrize("config,args,digests", [
+        (PIN_CONFIG, ["optimize", "--method", "sa"], {
             "trace.csv": "321303a02d93aa48cc35f9a26c692616792e6f341719dbb83212b6ba4c87440a",
             "design.json": "804b5b9daf2373b463352837403125a3fc624ea68da6f122740d3a75620d3e4f",
         }),
-        (["optimize", "--method", "perturb"], {
+        (PIN_CONFIG, ["optimize", "--method", "perturb"], {
             "trace.csv": "ddf35442ad59d972cd2b48c93e2497caefc47192d830a121d99b7e08a86ef53b",
             "design.json": "ef5cd2e0d7d75605721c6a285e9869d24216ff59ae7c7b02f17546a2246e6e27",
         }),
-        (["sweep-m"], {
+        (PIN_CONFIG, ["sweep-m"], {
             "sweep.csv": "873f28b9c1a45ddee09c94277ac1d788ea1cee09aaab4537a3455692dfac9013",
         }),
-        (["sweep-k"], {
+        (PIN_CONFIG, ["sweep-k"], {
             "sweep.csv": "c80482743aa066e7bd0148c23976ceb84a7daa49c58a29d5024a4cf3d03f6593",
         }),
-    ], ids=["sa", "perturb", "sweep-m", "sweep-k"])
-    def test_output_bytes_pinned(self, tmp_path, args, digests):
-        config = tmp_path / "pin.cfg"
-        config.write_text(PIN_CONFIG)
+        (PIN_CONFIG_M21, ["optimize", "--method", "sa"], {
+            "trace.csv": "1275f92f8eecb78c26e453b64c2f19968c66f0a36aa4a415f156fc84fb396fff",
+            "design.json": "4b8b6e366e7f73fd775d67ab9f6e240724fd4116c142502632034623126f2b4f",
+        }),
+    ], ids=["sa", "perturb", "sweep-m", "sweep-k", "sa-m21"])
+    def test_output_bytes_pinned(self, tmp_path, config, args, digests):
+        config_path = tmp_path / "pin.cfg"
+        config_path.write_text(config)
         out = tmp_path / "out"
-        result = run_cli(["--config", str(config), "--out", str(out), *args], tmp_path)
+        result = run_cli(["--config", str(config_path), "--out", str(out), *args], tmp_path)
         assert result.returncode == 0, result.stderr
         assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                 for name in digests} == digests
@@ -409,6 +481,22 @@ class TestSweepCommands:
         rows = [line.split(",") for line in lines[1:]]
         assert [(int(r[0]), r[1], float(r[2]), int(r[3]), int(r[4])) for r in rows] \
             == expected
+
+    def test_sweep_m_grid_too_wide_fails_before_any_job(self, tmp_path, monkeypatch,
+                                                        capsys):
+        config = tmp_path / "narrow.cfg"
+        config.write_text("f0_hz = 30e9\naperture_over_lambda = 5\nm = 11\n"
+                          "m_values = 11, 21\nsweep_k_m_values = 11\n")
+        calls = []
+        monkeypatch.setattr(fdma.experiments, "optimize_configuration",
+                            lambda *args, **kwargs: calls.append(args))
+        out = tmp_path / "out"
+        assert main(["--config", str(config), "--out", str(out), "sweep-m"]) == 1
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "ConfigError" and record["key"] == "m_values"
+        assert "M = 21 " in record["message"]
+        assert calls == []
+        assert not (out / "sweep.csv").exists()
 
     def test_sweep_m_rows_and_upper_bound(self, config_path, tmp_path):
         out = tmp_path / "out"
