@@ -64,7 +64,11 @@ class AnnealerConfig:
 
 @dataclass(frozen=True)
 class AlternationConfig:
-    "Outer loop: alternate subproblems until the round improvement stalls."
+    """Outer loop: alternate the subproblems for at most max_rounds rounds.
+
+    The loop stops early once a round's relative cost change
+    |start - end| / start falls below relative_tolerance.
+    """
 
     max_rounds: int = 4
     relative_tolerance: float = 1e-3
@@ -328,6 +332,35 @@ def anneal_freq_shifts(scenario: Scenario, design: ArrayDesign, params: Baseline
     return ArrayDesign(design.positions, design.f0, best_shifts)
 
 
+def alternate(scenario: Scenario, init: ArrayDesign, phases: tuple[str, ...],
+              max_rounds: int, tolerance: float, step) -> ArrayDesign:
+    """Alternate block updates of a design until a round's cost change stalls.
+
+    step(round, phase, design) updates one block (round counts from 1) and
+    returns the new design and its cost.  A round runs the phases in order;
+    the loop stops after max_rounds rounds, or once a round's relative cost
+    change |start - end| / start falls below tolerance.  Returns the
+    lowest-cost design visited, init itself when no step improves on it.
+    """
+    _check_optimizable(scenario, init)
+    if not phases or any(p not in ("positions", "shifts") for p in phases):
+        raise ValueError("phases must be a non-empty subset of ('positions', 'shifts')")
+    design = best_design = init
+    current = best_cost = cost(scenario, init)
+    for round_idx in range(1, max_rounds + 1):
+        round_start = current
+        for phase in phases:
+            design, current = step(round_idx, phase, design)
+            if current < best_cost:
+                best_design, best_cost = design, current
+        change = abs(round_start - current) / max(round_start, 1e-300)
+        logger.debug("alternation round %d: cost %.6g (change %.3g)",
+                     round_idx, current, change)
+        if change < tolerance:
+            break
+    return best_design
+
+
 def alternate_sa(scenario: Scenario, init: ArrayDesign, params: BaselineParams,
                  sa_cfg: AnnealerConfig, alt_cfg: AlternationConfig,
                  trace: list | None = None,
@@ -338,33 +371,17 @@ def alternate_sa(scenario: Scenario, init: ArrayDesign, params: BaselineParams,
     draws its seed from a per-phase child of sa_cfg.seed, so a run is fully
     reproducible.  phases restricts the loop to one subproblem when wanted.
     """
-    _check_optimizable(scenario, init)
-    if not phases or any(p not in ("positions", "shifts") for p in phases):
-        raise ValueError("phases must be a non-empty subset of ('positions', 'shifts')")
-    design = init
-    current = cost(scenario, design)
-    best_design, best_cost = design, current
-    phase_seeds = np.random.SeedSequence(sa_cfg.seed).generate_state(
-        max(1, alt_cfg.max_rounds) * len(phases), dtype=np.uint64)
-    step = 0
-    for round_idx in range(alt_cfg.max_rounds):
-        round_start = current
-        for phase in phases:
-            phase_cfg = replace(sa_cfg, seed=int(phase_seeds[step]))
-            step += 1
-            if phase == "positions":
-                design = anneal_positions(scenario, design, params, phase_cfg, trace)
-            else:
-                design = anneal_freq_shifts(scenario, design, params, phase_cfg, trace)
-            current = cost(scenario, design)
-            if current < best_cost:
-                best_design, best_cost = design, current
-        improvement = (round_start - current) / max(round_start, 1e-300)
-        logger.debug("annealing round %d: cost %.6g (improvement %.3g)",
-                     round_idx + 1, current, improvement)
-        if improvement < alt_cfg.relative_tolerance:
-            break
-    return best_design
+    seeds = iter(np.random.SeedSequence(sa_cfg.seed).generate_state(
+        max(1, alt_cfg.max_rounds) * len(phases or ()), dtype=np.uint64))
+
+    def step(_, phase: str, design: ArrayDesign) -> tuple[ArrayDesign, float]:
+        anneal = anneal_positions if phase == "positions" else anneal_freq_shifts
+        design = anneal(scenario, design, params, replace(sa_cfg, seed=int(next(seeds))),
+                        trace)
+        return design, cost(scenario, design)
+
+    return alternate(scenario, init, phases, alt_cfg.max_rounds,
+                     alt_cfg.relative_tolerance, step)
 
 
 def _first_iteration_below(cooling_factor: float, ratio: float) -> int:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import datetime
 import json
 import logging
@@ -30,11 +31,12 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .annealing import cost, schedule_summary
+from .annealing import IterationRecord, cost, schedule_summary
 from .config import ConfigError, RunConfig, parse_config_file
 from .experiments import ALL_KINDS, ConfigurationKind, baseline_design, compare_designs, \
     optimize_configuration, raster_columns, sweep_vs_num_antennas, sweep_vs_num_eves
 from .model import ArrayDesign, Scenario, wavelength
+from .perturbation import RoundRecord
 from .scenario import place_canonical_eves
 
 logger = logging.getLogger("fdma")
@@ -74,12 +76,6 @@ def _json_dumps(obj, indent: int = 0) -> str:
     return json.dumps(obj)
 
 
-def _write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
-
-
 @contextlib.contextmanager
 def _atomic_open(path: Path) -> Iterator[TextIO]:
     """Text handle on `<path>.tmp`, renamed to path once the block completes.
@@ -98,22 +94,26 @@ def _atomic_open(path: Path) -> Iterator[TextIO]:
         raise
 
 
-def _write_csv(path: Path, header: list[str], fmt: str, rows: Iterable[tuple],
+def _write_csv(path: Path, header: Iterable[str], fmt: str, rows: Iterable[tuple],
                footer: dict | None = None) -> None:
     """Header line, then one `fmt % row` line per row tuple, then `# key=value` footers.
 
     fmt must match the column types: `%.17g` prints a float as `_fmt` does,
     `%d` an int or bool, `%s` a string; `%d` of a float would truncate it.
     """
-    lines = [",".join(header)]
-    lines.extend(map(fmt.__mod__, rows))
-    if footer:
-        lines.extend(f"# {key}={_fmt(value)}" for key, value in footer.items())
-    _write_text(path, "\n".join(lines) + "\n")
+    with _atomic_open(path) as handle:
+        handle.write(",".join(header) + "\n")
+        handle.writelines(map((fmt + "\n").__mod__, rows))
+        handle.writelines(f"# {key}={_fmt(value)}\n" for key, value in (footer or {}).items())
+
+
+def _write_json(path: Path, obj) -> None:
+    with _atomic_open(path) as handle:
+        handle.write(_json_dumps(obj) + "\n")
 
 
 def _write_manifest(out_dir: Path, experiment_id: str, cfg: RunConfig,
-                    outputs: list[str], started: str, stage_seconds: dict,
+                    outputs: list[str], clock: _Stopwatch,
                     extra: dict | None = None) -> None:
     manifest = {
         "experiment_id": experiment_id,
@@ -121,13 +121,13 @@ def _write_manifest(out_dir: Path, experiment_id: str, cfg: RunConfig,
         "master_seed": cfg.seed,
         "config": cfg.snapshot(),
         "outputs": sorted(outputs),
-        "stage_seconds": stage_seconds,
+        "stage_seconds": clock.seconds,
         "environment": _environment(),
-        "started_utc": started,
+        "started_utc": clock.started_utc,
         "finished_utc": _utc_now(),
         **(extra or {}),
     }
-    _write_text(out_dir / "manifest.json", _json_dumps(manifest) + "\n")
+    _write_json(out_dir / "manifest.json", manifest)
 
 
 def _environment() -> dict:
@@ -151,6 +151,7 @@ class _Stopwatch:
     """
 
     def __init__(self) -> None:
+        self.started_utc = _utc_now()
         self.seconds: dict[str, float] = {}
         self._mark = time.perf_counter()
 
@@ -192,7 +193,6 @@ def _load_design(path: str) -> ArrayDesign:
 
 
 def cmd_beampattern(cfg: RunConfig, kind: ConfigurationKind, out_dir: Path) -> None:
-    started = _utc_now()
     clock = _Stopwatch()
     scenario = _canonical_scenario(cfg)
     design = optimize_configuration(kind, scenario, cfg.m, cfg.baseline_params(),
@@ -211,14 +211,13 @@ def cmd_beampattern(cfg: RunConfig, kind: ConfigurationKind, out_dir: Path) -> N
             row = "%.17g," % x + "%s,%.17g\n"
             handle.writelines(map(row.__mod__, zip(y_text, power_db.tolist())))
             clock.lap("write")
-    _write_text(out_dir / "design.json", _json_dumps(_design_document(design)) + "\n")
+    _write_json(out_dir / "design.json", _design_document(design))
     clock.lap("write")
     _write_manifest(out_dir, f"beampattern/{kind.value}", cfg,
-                    ["raster.csv", "design.json"], started, clock.seconds)
+                    ["raster.csv", "design.json"], clock)
 
 
 def cmd_sweep(cfg: RunConfig, axis: str, out_dir: Path) -> None:
-    started = _utc_now()
     clock = _Stopwatch()
     base = cfg.base_scenario()
     if axis == "m":
@@ -242,11 +241,10 @@ def cmd_sweep(cfg: RunConfig, axis: str, out_dir: Path) -> None:
                ["sweep_value", "configuration", "secrecy_rate", "seed", "trial"],
                "%d,%s,%.17g,%d,%d", rows)
     clock.lap("write")
-    _write_manifest(out_dir, f"sweep-{axis}", cfg, ["sweep.csv"], started, clock.seconds)
+    _write_manifest(out_dir, f"sweep-{axis}", cfg, ["sweep.csv"], clock)
 
 
 def cmd_optimize(cfg: RunConfig, method: str, out_dir: Path) -> None:
-    started = _utc_now()
     clock = _Stopwatch()
     scenario = _canonical_scenario(cfg)
     params = cfg.baseline_params()
@@ -258,24 +256,19 @@ def cmd_optimize(cfg: RunConfig, method: str, out_dir: Path) -> None:
                                     trace=trace)
     final_cost = cost(scenario, design)
     clock.lap("optimize")
-    if method == "sa":
-        header = ["iteration", "temperature", "cost", "accepted", "best_cost"]
-        fmt = "%d,%.17g,%.17g,%d,%.17g"
-    else:
-        header = ["round", "subproblem", "cost", "clip_count"]
-        fmt = "%d,%s,%.17g,%d"
-    _write_csv(out_dir / "trace.csv", header, fmt, trace,
+    record, fmt = ((IterationRecord, "%d,%.17g,%.17g,%d,%.17g") if method == "sa"
+                   else (RoundRecord, "%d,%s,%.17g,%d"))
+    _write_csv(out_dir / "trace.csv", record._fields, fmt, trace,
                footer={"initial_cost": initial_cost, "final_cost": final_cost})
-    _write_text(out_dir / "design.json", _json_dumps(_design_document(design)) + "\n")
+    _write_json(out_dir / "design.json", _design_document(design))
     clock.lap("write")
     extra = {"annealer": schedule_summary(trace, cfg.sa_cooling)} if method == "sa" else None
     _write_manifest(out_dir, f"optimize/{method}", cfg,
-                    ["design.json", "trace.csv"], started, clock.seconds, extra)
+                    ["design.json", "trace.csv"], clock, extra)
     logger.info("optimize %s: cost %.6g -> %.6g", method, initial_cost, final_cost)
 
 
 def cmd_compare(cfg: RunConfig, design_a: str, design_b: str, out_dir: Path) -> None:
-    started = _utc_now()
     clock = _Stopwatch()
     records = compare_designs(_load_design(design_a), _load_design(design_b))
     clock.lap("compare")
@@ -283,7 +276,7 @@ def cmd_compare(cfg: RunConfig, design_a: str, design_b: str, out_dir: Path) -> 
                ["antenna", "pos_a_lambda", "pos_b_lambda", "shift_a_mhz", "shift_b_mhz"],
                "%d,%.17g,%.17g,%.17g,%.17g", records)
     clock.lap("write")
-    _write_manifest(out_dir, "compare", cfg, ["compare.csv"], started, clock.seconds)
+    _write_manifest(out_dir, "compare", cfg, ["compare.csv"], clock)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -318,7 +311,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = parse_config_file(args.config)
         if args.seed is not None:
-            cfg.seed = args.seed
+            cfg = dataclasses.replace(cfg, seed=args.seed)
         out_dir = Path(args.out)
         if args.command == "beampattern":
             cmd_beampattern(cfg, ConfigurationKind(args.kind), out_dir)

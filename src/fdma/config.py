@@ -33,7 +33,23 @@ class ConfigError(ValueError):
         self.line = line
 
 
-@dataclass
+# Every object a run builds from its config, with the keys that feed it.  Parsing
+# builds them all, and RunConfig is frozen, so a value one of them rejects fails
+# the parse with a ConfigError naming its keys.
+_DERIVED_KEYS = (
+    ("link_budget", "tx_power_dbm, noise_power_dbm, ref_path_loss_db, "
+                    "path_loss_exponent_coeff"),
+    ("baseline_params", "delta_d_over_lambda, min_spacing_over_lambda, aperture_over_lambda, "
+                        "delta_f_hz, delta_f_min_hz, delta_f_max_hz, speed_of_light"),
+    ("grid", "grid_x_min_m, grid_x_max_m, grid_y_min_m, grid_y_max_m, grid_resolution_m"),
+    ("eve_domain", "eve_r_min_m, eve_r_max_m, eve_theta_min_deg, eve_theta_max_deg"),
+    ("annealer", "sa_initial_temperature, sa_cooling, sa_iterations"),
+    ("alternation", "sa_rounds, sa_round_tol"),
+    ("perturber", "ridge_position, ridge_frequency, perturb_rounds, perturb_tol"),
+)
+
+
+@dataclass(frozen=True)
 class RunConfig:
     """Every tunable of the batch tool, with scenario defaults filled in."""
 
@@ -103,12 +119,20 @@ class RunConfig:
             raise ConfigError("give the receiver either in Cartesian or polar form, not both",
                               key="bob_x_m")
         if not cartesian and not polar:
-            self.bob_x_m, self.bob_y_m = 30.0, 90.0
+            object.__setattr__(self, "bob_x_m", 30.0)
+            object.__setattr__(self, "bob_y_m", 90.0)
         if self.m < 1:
             raise ConfigError("need at least one antenna", key="m")
         if self.k < 0:
             raise ConfigError("adversary count must be non-negative", key="k")
+        if self.trials < 1:
+            raise ConfigError("need at least one trial", key="trials")
         self._check_baseline_grid()
+        for build, keys in _DERIVED_KEYS:
+            try:
+                getattr(self, build)()
+            except ValueError as exc:
+                raise ConfigError(str(exc), key=keys) from exc
 
     def _check_baseline_grid(self) -> None:
         """The uniform baseline grid of every array size the run may build fits its box.
@@ -190,13 +214,7 @@ class RunConfig:
 
     def snapshot(self) -> dict:
         "Fully resolved key/value view for the run manifest."
-        out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, tuple):
-                value = list(value)
-            out[f.name] = value
-        return out
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 _INT_KEYS = {"m", "k", "seed", "trials", "sa_iterations", "sa_rounds", "perturb_rounds"}

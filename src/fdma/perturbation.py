@@ -21,7 +21,6 @@ each block can only null the adversaries its geometry reaches.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -31,9 +30,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .model import ArrayDesign, Scenario
 from .scenario import BaselineParams, centered_indices
-from .annealing import cost
-
-logger = logging.getLogger("fdma.perturbation")
+from .annealing import AlternationConfig, alternate, cost
 
 
 class SingularSystemError(ValueError):
@@ -46,6 +43,8 @@ class PerturbConfig:
 
     ridge None selects 1e-3 * trace(A^T Q A) / M per solve, which keeps the
     perturbations small enough for the first-order model to stay honest.
+    Rounds stop as AlternationConfig's do: after max_rounds, or once a
+    round's relative cost change |start - end| / start is below relative_tolerance.
     """
 
     ridge_position: float | None = None
@@ -57,10 +56,7 @@ class PerturbConfig:
         for ridge in (self.ridge_position, self.ridge_frequency):
             if ridge is not None and ridge < 0.0:
                 raise ValueError("ridge weights must be non-negative")
-        if self.max_rounds < 0:
-            raise ValueError("max_rounds must be non-negative")
-        if not self.relative_tolerance > 0.0:
-            raise ValueError("relative_tolerance must be positive")
+        AlternationConfig(self.max_rounds, self.relative_tolerance)  # checks both
 
 
 @dataclass(frozen=True)
@@ -105,66 +101,69 @@ def _range_deltas(scenario: Scenario) -> np.ndarray:
     return scenario.bob.range_m - scenario.eve_ranges
 
 
+def _phase_matrix(scenario: Scenario, angle_scale: float, x: np.ndarray,
+                  range_scale: float, f: np.ndarray) -> np.ndarray:
+    """Phases of the linearized beampattern terms, one row per adversary.
+
+    (2 pi / c) (angle_scale dcos x^T + range_scale dR f^T), with dcos and dR
+    the adversaries' direction-cosine and range offsets from the receiver.
+    """
+    return (2.0 * np.pi / scenario.speed_of_light) * (
+        angle_scale * np.outer(_angle_deltas(scenario), x)
+        + range_scale * np.outer(_range_deltas(scenario), f)
+    )
+
+
 def _position_phase_matrix(scenario: Scenario, params: BaselineParams,
                            freq_shifts: np.ndarray, f0: float) -> np.ndarray:
     "Phases of the uniform-grid beampattern terms, one row per adversary."
-    c = scenario.speed_of_light
     idx = centered_indices(len(freq_shifts))
-    return (2.0 * np.pi / c) * (
-        f0 * params.uniform_spacing * np.outer(_angle_deltas(scenario), idx)
-        + np.outer(_range_deltas(scenario), np.ones_like(idx)) * freq_shifts[None, :]
-    )
+    return _phase_matrix(scenario, f0 * params.uniform_spacing, idx, 1.0, freq_shifts)
 
 
 def _frequency_phase_matrix(scenario: Scenario, params: BaselineParams,
                             positions: np.ndarray, f0: float) -> np.ndarray:
     "Phases of the linear-ramp beampattern terms, one row per adversary."
-    c = scenario.speed_of_light
     idx = centered_indices(len(positions))
-    return (2.0 * np.pi / c) * (
-        f0 * np.outer(_angle_deltas(scenario), positions)
-        + params.uniform_freq_step * np.outer(_range_deltas(scenario), idx)
-    )
+    return _phase_matrix(scenario, f0, positions, params.uniform_freq_step, idx)
 
 
 def position_phase(m: int, k: int, scenario: Scenario, params: BaselineParams,
                    freq_shifts: np.ndarray, f0: float) -> float:
     "Scalar entry of the position-system phase matrix (0-based m, k)."
-    return float(_position_phase_matrix(scenario, params,
-                                        np.asarray(freq_shifts, dtype=float), f0)[k, m])
+    return float(_position_phase_matrix(scenario, params, freq_shifts, f0)[k, m])
 
 
 def frequency_phase(m: int, k: int, scenario: Scenario, params: BaselineParams,
                     positions: np.ndarray, f0: float) -> float:
     "Scalar entry of the frequency-system phase matrix (0-based m, k)."
-    return float(_frequency_phase_matrix(scenario, params,
-                                         np.asarray(positions, dtype=float), f0)[k, m])
+    return float(_frequency_phase_matrix(scenario, params, positions, f0)[k, m])
+
+
+def _nulling_system(scenario: Scenario, phases: np.ndarray,
+                    slopes: np.ndarray) -> NullingSystem:
+    "Rows slope_k sin(phase_km), targets sum_m cos(phase_km), weights w_k / M."
+    return NullingSystem(
+        a=slopes[:, None] * np.sin(phases),
+        b=np.cos(phases).sum(axis=1),
+        q_diag=scenario.eve_weights / phases.shape[1],
+    )
 
 
 def build_position_system(scenario: Scenario, params: BaselineParams,
                           freq_shifts: np.ndarray, f0: float) -> NullingSystem:
     "Linear system whose solution perturbs element positions toward nulls."
-    freq_shifts = np.asarray(freq_shifts, dtype=float)
     phases = _position_phase_matrix(scenario, params, freq_shifts, f0)
-    factor = (2.0 * np.pi * f0 / scenario.speed_of_light) * _angle_deltas(scenario)
-    return NullingSystem(
-        a=factor[:, None] * np.sin(phases),
-        b=np.cos(phases).sum(axis=1),
-        q_diag=scenario.eve_weights / freq_shifts.size,
-    )
+    slopes = (2.0 * np.pi * f0 / scenario.speed_of_light) * _angle_deltas(scenario)
+    return _nulling_system(scenario, phases, slopes)
 
 
 def build_frequency_system(scenario: Scenario, params: BaselineParams,
                            positions: np.ndarray, f0: float) -> NullingSystem:
     "Linear system whose solution perturbs frequency shifts toward nulls."
-    positions = np.asarray(positions, dtype=float)
     phases = _frequency_phase_matrix(scenario, params, positions, f0)
-    factor = (2.0 * np.pi / scenario.speed_of_light) * _range_deltas(scenario)
-    return NullingSystem(
-        a=factor[:, None] * np.sin(phases),
-        b=np.cos(phases).sum(axis=1),
-        q_diag=scenario.eve_weights / positions.size,
-    )
+    slopes = (2.0 * np.pi / scenario.speed_of_light) * _range_deltas(scenario)
+    return _nulling_system(scenario, phases, slopes)
 
 
 def default_ridge(system: NullingSystem) -> float:
@@ -252,7 +251,6 @@ def first_order_beampattern(scenario: Scenario, params: BaselineParams,
     range phase is restored so the value is directly comparable with the
     exact beampattern.
     """
-    freq_shifts = np.asarray(freq_shifts, dtype=float)
     delta_x = np.asarray(delta_x, dtype=float)
     phases = _position_phase_matrix(scenario, params, freq_shifts, f0)[k]
     terms = np.exp(-1j * phases)
@@ -274,40 +272,26 @@ def alternate_perturb(scenario: Scenario, baseline: ArrayDesign,
     round drops below the tolerance; returns the best design visited
     (never worse than the baseline).
     """
-    if scenario.num_eves >= baseline.num_antennas:
-        raise ValueError("need fewer eavesdroppers than antennas")
-    if not phases or any(p not in ("positions", "shifts") for p in phases):
-        raise ValueError("phases must be a non-empty subset of ('positions', 'shifts')")
-    if scenario.num_eves == 0 or cfg.max_rounds == 0:
-        return baseline
-
     f0 = baseline.f0
-    design = baseline
-    best_design, best_cost = baseline, cost(scenario, baseline)
-    previous = best_cost
-    for round_idx in range(1, cfg.max_rounds + 1):
-        for phase in phases:
-            if phase == "positions":
-                system = build_position_system(scenario, params, design.freq_shifts, f0)
-                ridge = cfg.ridge_position
-                delta = solve_ridge(system, default_ridge(system) if ridge is None else ridge)
-                perturbed, clipped = apply_position_perturbation(baseline, delta, params)
-                design = ArrayDesign(perturbed.positions, f0, design.freq_shifts)
-            else:
-                system = build_frequency_system(scenario, params, design.positions, f0)
-                ridge = cfg.ridge_frequency
-                delta = solve_ridge(system, default_ridge(system) if ridge is None else ridge)
-                perturbed, clipped = apply_frequency_perturbation(baseline, delta, params)
-                design = ArrayDesign(design.positions, f0, perturbed.freq_shifts)
-            current = cost(scenario, design)
-            if trace is not None:
-                trace.append(RoundRecord(round_idx, phase, current, clipped))
-            if current < best_cost:
-                best_design, best_cost = design, current
-        change = abs(previous - current) / max(previous, 1e-300)
-        logger.debug("perturbation round %d: cost %.6g (change %.3g)",
-                     round_idx, current, change)
-        if change < cfg.relative_tolerance:
-            break
-        previous = current
-    return best_design
+
+    def step(round_idx: int, phase: str, design: ArrayDesign) -> tuple[ArrayDesign, float]:
+        # The solved block perturbs its baseline profile; the other block
+        # keeps its current state.
+        if phase == "positions":
+            system = build_position_system(scenario, params, design.freq_shifts, f0)
+            ridge, apply = cfg.ridge_position, apply_position_perturbation
+            start = ArrayDesign(baseline.positions, f0, design.freq_shifts)
+        else:
+            system = build_frequency_system(scenario, params, design.positions, f0)
+            ridge, apply = cfg.ridge_frequency, apply_frequency_perturbation
+            start = ArrayDesign(design.positions, f0, baseline.freq_shifts)
+        delta = solve_ridge(system, default_ridge(system) if ridge is None else ridge)
+        design, clipped = apply(start, delta, params)
+        current = cost(scenario, design)
+        if trace is not None:
+            trace.append(RoundRecord(round_idx, phase, current, clipped))
+        return design, current
+
+    # With no adversary there is nothing to null: validate, then return the baseline.
+    rounds = cfg.max_rounds if scenario.num_eves else 0
+    return alternate(scenario, baseline, phases, rounds, cfg.relative_tolerance, step)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -87,6 +88,7 @@ def assert_manifest_telemetry(out, stages, cooling_factor=None):
     For an annealing run (cooling_factor given) also its schedule summary,
     recounted from trace.csv; other runs carry none.
     """
+    assert not list(out.glob("*.tmp")), "a temporary file was left behind"
     manifest = json.loads((out / "manifest.json").read_text())
     if cooling_factor is None:
         assert "annealer" not in manifest
@@ -165,6 +167,14 @@ class TestCsvWriter:
             _write_csv(path, header, fmt, rows, footer=footer)
             assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
 
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("old\n")
+        with pytest.raises(TypeError):
+            _write_csv(path, ["n"], "%d", [(1,), ("not a number",)])
+        assert path.read_text() == "old\n"
+        assert list(tmp_path.iterdir()) == [path]
+
 
 class TestConfigParsing:
     def test_defaults_and_overrides(self):
@@ -228,6 +238,49 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as err:
             parse_config_text("f0_hz = 30e9\ndelta_d_over_lambda = 0.4")
         assert err.value.key == "delta_d_over_lambda"
+
+    @pytest.mark.parametrize("text,keys", [
+        ("sa_cooling = 1.5", {"sa_cooling"}),
+        ("sa_iterations = 0", {"sa_iterations"}),
+        ("sa_rounds = -1", {"sa_rounds"}),
+        ("perturb_tol = 0", {"perturb_tol"}),
+        ("ridge_frequency = -1", {"ridge_frequency"}),
+        ("grid_resolution_m = 0", {"grid_resolution_m"}),
+        ("grid_x_min_m = 5\ngrid_x_max_m = -5", {"grid_x_min_m", "grid_x_max_m"}),
+        ("delta_f_min_hz = 10e6\ndelta_f_max_hz = -10e6", {"delta_f_min_hz", "delta_f_max_hz"}),
+        ("eve_r_min_m = 300", {"eve_r_min_m", "eve_r_max_m"}),
+        ("eve_theta_max_deg = 200", {"eve_theta_max_deg"}),
+        ("ref_path_loss_db = -1", {"ref_path_loss_db"}),
+    ])
+    def test_rejected_value_names_its_keys(self, text, keys):
+        # Each of these used to parse, and the command failed later with a
+        # library ValueError that named no key.
+        with pytest.raises(ConfigError) as err:
+            parse_config_text("f0_hz = 30e9\n" + text)
+        assert keys <= set(err.value.key.split(", ")), err.value.key
+
+    def test_zero_trials_rejected(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config_text("f0_hz = 30e9\ntrials = 0")
+        assert err.value.key == "trials"
+
+    def test_config_is_frozen(self):
+        cfg = parse_config_text("f0_hz = 30e9\nsa_cooling = 0.9")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.sa_cooling = 1.5
+        assert dataclasses.replace(cfg, seed=5).annealer().seed == 5
+
+    def test_command_reports_rejected_value_before_running(self, tmp_path, capsys):
+        config = tmp_path / "bad.cfg"
+        config.write_text(BASE_CONFIG + "sa_cooling = 1.5\n")
+        out = tmp_path / "out"
+        assert main(["--config", str(config), "--out", str(out), "--kind", "CPA",
+                     "beampattern"]) == 1
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "ConfigError"
+        assert "sa_cooling" in record["key"].split(", ")
+        assert "cooling_factor must lie in (0, 1)" in record["message"]
+        assert not out.exists()
 
     def test_uppercase_aliases(self):
         cfg = parse_config_text("f0_hz = 30e9\nM = 13\nK = 2")
