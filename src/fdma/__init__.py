@@ -37,7 +37,7 @@ from .scenario import (
     place_canonical_eves,
     sample_eves_outside_target,
 )
-from .annealing import AlternationConfig, AnnealerConfig, alternate_sa, cost
+from .annealing import AnnealerConfig, alternate_sa, cost
 from .perturbation import PerturbConfig, alternate_perturb
 from .experiments import ConfigurationKind
 
@@ -67,7 +67,6 @@ __all__ = [
     "path_loss_linear",
     "place_canonical_eves",
     "sample_eves_outside_target",
-    "AlternationConfig",
     "AnnealerConfig",
     "alternate_sa",
     "cost",

@@ -39,19 +39,31 @@ class InfeasibleInitializationError(InfeasibleSpacingError):
     "Starting design violates the spacing or frequency-shift constraints."
 
 
+def _check_alternation(max_rounds: int, relative_tolerance: float) -> None:
+    "Validate the round limit and stop tolerance of an alternating optimizer."
+    if max_rounds < 0:
+        raise ValueError("max_rounds must be non-negative")
+    if not relative_tolerance > 0.0:
+        raise ValueError("relative_tolerance must be positive")
+
+
 @dataclass(frozen=True)
 class AnnealerConfig:
-    """Annealing schedule.
+    """Annealing schedule and the rounds of the alternation around it.
 
     initial_temperature None means: start each run at the current cost
     magnitude (floored at 1e-12), which keeps early uphill acceptance
-    moderate regardless of the cost scale.
+    moderate regardless of the cost scale.  alternate_sa alternates the
+    subproblems for at most max_rounds rounds and stops early once a round's
+    relative cost change |start - end| / start falls below relative_tolerance.
     """
 
     initial_temperature: float | None = None
     cooling_factor: float = 0.95
     max_iterations: int = 5000
     seed: int = 0
+    max_rounds: int = 4
+    relative_tolerance: float = 1e-3
 
     def __post_init__(self):
         if self.initial_temperature is not None and not self.initial_temperature > 0.0:
@@ -60,24 +72,7 @@ class AnnealerConfig:
             raise ValueError("cooling_factor must lie in (0, 1)")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
-
-
-@dataclass(frozen=True)
-class AlternationConfig:
-    """Outer loop: alternate the subproblems for at most max_rounds rounds.
-
-    The loop stops early once a round's relative cost change
-    |start - end| / start falls below relative_tolerance.
-    """
-
-    max_rounds: int = 4
-    relative_tolerance: float = 1e-3
-
-    def __post_init__(self):
-        if self.max_rounds < 0:
-            raise ValueError("max_rounds must be non-negative")
-        if not self.relative_tolerance > 0.0:
-            raise ValueError("relative_tolerance must be positive")
+        _check_alternation(self.max_rounds, self.relative_tolerance)
 
 
 class IterationRecord(NamedTuple):
@@ -362,8 +357,7 @@ def alternate(scenario: Scenario, init: ArrayDesign, phases: tuple[str, ...],
 
 
 def alternate_sa(scenario: Scenario, init: ArrayDesign, params: BaselineParams,
-                 sa_cfg: AnnealerConfig, alt_cfg: AlternationConfig,
-                 trace: list | None = None,
+                 sa_cfg: AnnealerConfig, trace: list | None = None,
                  phases: tuple[str, ...] = ("positions", "shifts")) -> ArrayDesign:
     """Alternate position and shift annealing until the improvement stalls.
 
@@ -372,7 +366,7 @@ def alternate_sa(scenario: Scenario, init: ArrayDesign, params: BaselineParams,
     reproducible.  phases restricts the loop to one subproblem when wanted.
     """
     seeds = iter(np.random.SeedSequence(sa_cfg.seed).generate_state(
-        max(1, alt_cfg.max_rounds) * len(phases or ()), dtype=np.uint64))
+        max(1, sa_cfg.max_rounds) * len(phases or ()), dtype=np.uint64))
 
     def step(_, phase: str, design: ArrayDesign) -> tuple[ArrayDesign, float]:
         anneal = anneal_positions if phase == "positions" else anneal_freq_shifts
@@ -380,8 +374,8 @@ def alternate_sa(scenario: Scenario, init: ArrayDesign, params: BaselineParams,
                         trace)
         return design, cost(scenario, design)
 
-    return alternate(scenario, init, phases, alt_cfg.max_rounds,
-                     alt_cfg.relative_tolerance, step)
+    return alternate(scenario, init, phases, sa_cfg.max_rounds,
+                     sa_cfg.relative_tolerance, step)
 
 
 def _first_iteration_below(cooling_factor: float, ratio: float) -> int:

@@ -170,11 +170,11 @@ def _canonical_scenario(cfg: RunConfig) -> Scenario:
                           "eavesdroppers; set k = 3 or 0", key="k")
     eves = place_canonical_eves(cfg.m, base.bob, cfg.baseline_params(),
                                 cfg.link_budget(), cfg.f0_hz, cfg.speed_of_light)
-    return Scenario(base.bob, tuple(eves), base.tx_power_linear, base.speed_of_light)
+    return dataclasses.replace(base, eves=eves)
 
 
-def _design_document(design: ArrayDesign) -> dict:
-    lam = wavelength(design.f0)
+def _design_document(design: ArrayDesign, c: float) -> dict:
+    lam = wavelength(design.f0, c)
     return {
         "num_antennas": design.num_antennas,
         "f0_hz": design.f0,
@@ -196,8 +196,7 @@ def cmd_beampattern(cfg: RunConfig, kind: ConfigurationKind, out_dir: Path) -> N
     clock = _Stopwatch()
     scenario = _canonical_scenario(cfg)
     design = optimize_configuration(kind, scenario, cfg.m, cfg.baseline_params(),
-                                    cfg.f0_hz, cfg.annealer(), cfg.alternation(),
-                                    cfg.perturber())
+                                    cfg.f0_hz, cfg.annealer(), cfg.perturber())
     clock.lap("design")
     grid = cfg.grid()
     y_text = ["%.17g" % y for y in grid.y_points().tolist()]
@@ -211,7 +210,7 @@ def cmd_beampattern(cfg: RunConfig, kind: ConfigurationKind, out_dir: Path) -> N
             row = "%.17g," % x + "%s,%.17g\n"
             handle.writelines(map(row.__mod__, zip(y_text, power_db.tolist())))
             clock.lap("write")
-    _write_json(out_dir / "design.json", _design_document(design))
+    _write_json(out_dir / "design.json", _design_document(design, cfg.speed_of_light))
     clock.lap("write")
     _write_manifest(out_dir, f"beampattern/{kind.value}", cfg,
                     ["raster.csv", "design.json"], clock)
@@ -223,15 +222,13 @@ def cmd_sweep(cfg: RunConfig, axis: str, out_dir: Path) -> None:
     if axis == "m":
         records = sweep_vs_num_antennas(
             base, list(cfg.m_values), ALL_KINDS, cfg.link_budget(), cfg.f0_hz,
-            cfg.annealer(), cfg.alternation(), cfg.perturber(), cfg.seed,
-            baseline_params=cfg.baseline_params)
+            cfg.annealer(), cfg.perturber(), cfg.seed, baseline_params=cfg.baseline_params)
     else:
         kinds = (ConfigurationKind.FDMA_OPT1, ConfigurationKind.FDMA_OPT2)
         records = sweep_vs_num_eves(
             base, list(cfg.k_values), list(cfg.sweep_k_m_values), kinds,
-            cfg.link_budget(), cfg.f0_hz, cfg.annealer(), cfg.alternation(),
-            cfg.perturber(), cfg.seed, trials=cfg.trials,
-            domain=cfg.eve_domain(), baseline_params=cfg.baseline_params)
+            cfg.link_budget(), cfg.f0_hz, cfg.annealer(), cfg.perturber(), cfg.seed,
+            trials=cfg.trials, domain=cfg.eve_domain(), baseline_params=cfg.baseline_params)
     rows = sorted(
         (rec.sweep_value, rec.configuration.value, rec.secrecy_rate_bps_hz,
          rec.seed, rec.trial)
@@ -252,15 +249,14 @@ def cmd_optimize(cfg: RunConfig, method: str, out_dir: Path) -> None:
     initial_cost = cost(scenario, baseline_design(kind, cfg.m, params, cfg.f0_hz))
     trace: list = []
     design = optimize_configuration(kind, scenario, cfg.m, params, cfg.f0_hz,
-                                    cfg.annealer(), cfg.alternation(), cfg.perturber(),
-                                    trace=trace)
+                                    cfg.annealer(), cfg.perturber(), trace=trace)
     final_cost = cost(scenario, design)
     clock.lap("optimize")
     record, fmt = ((IterationRecord, "%d,%.17g,%.17g,%d,%.17g") if method == "sa"
                    else (RoundRecord, "%d,%s,%.17g,%d"))
     _write_csv(out_dir / "trace.csv", record._fields, fmt, trace,
                footer={"initial_cost": initial_cost, "final_cost": final_cost})
-    _write_json(out_dir / "design.json", _design_document(design))
+    _write_json(out_dir / "design.json", _design_document(design, cfg.speed_of_light))
     clock.lap("write")
     extra = {"annealer": schedule_summary(trace, cfg.sa_cooling)} if method == "sa" else None
     _write_manifest(out_dir, f"optimize/{method}", cfg,
@@ -270,7 +266,8 @@ def cmd_optimize(cfg: RunConfig, method: str, out_dir: Path) -> None:
 
 def cmd_compare(cfg: RunConfig, design_a: str, design_b: str, out_dir: Path) -> None:
     clock = _Stopwatch()
-    records = compare_designs(_load_design(design_a), _load_design(design_b))
+    records = compare_designs(_load_design(design_a), _load_design(design_b),
+                              cfg.speed_of_light)
     clock.lap("compare")
     _write_csv(out_dir / "compare.csv",
                ["antenna", "pos_a_lambda", "pos_b_lambda", "shift_a_mhz", "shift_b_mhz"],

@@ -4,7 +4,7 @@ Config files hold one `key = value` pair per line; `#` starts a comment.
 `f0_hz` is the only required key, everything else defaults to the standard
 scenario (see README for the full key table).  The intended receiver may be
 given either in Cartesian form (bob_x_m / bob_y_m) or in polar form
-(bob_range_m / bob_angle_deg), but not both.
+(bob_range_m / bob_angle_deg), with both keys of the form, but not both forms.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .annealing import AlternationConfig, AnnealerConfig
+from .annealing import AnnealerConfig
 from .model import Placement, Scenario, SPEED_OF_LIGHT, wavelength
 from .perturbation import PerturbConfig
 from .scenario import BaselineParams, GridSpec, LinkBudgetConfig, PolarDomain, \
@@ -39,12 +39,12 @@ class ConfigError(ValueError):
 _DERIVED_KEYS = (
     ("link_budget", "tx_power_dbm, noise_power_dbm, ref_path_loss_db, "
                     "path_loss_exponent_coeff"),
+    ("bob", "bob_x_m, bob_y_m, bob_range_m, bob_angle_deg"),
     ("baseline_params", "delta_d_over_lambda, min_spacing_over_lambda, aperture_over_lambda, "
                         "delta_f_hz, delta_f_min_hz, delta_f_max_hz, speed_of_light"),
     ("grid", "grid_x_min_m, grid_x_max_m, grid_y_min_m, grid_y_max_m, grid_resolution_m"),
     ("eve_domain", "eve_r_min_m, eve_r_max_m, eve_theta_min_deg, eve_theta_max_deg"),
-    ("annealer", "sa_initial_temperature, sa_cooling, sa_iterations"),
-    ("alternation", "sa_rounds, sa_round_tol"),
+    ("annealer", "sa_initial_temperature, sa_cooling, sa_iterations, sa_rounds, sa_round_tol"),
     ("perturber", "ridge_position, ridge_frequency, perturb_rounds, perturb_tol"),
 )
 
@@ -121,18 +121,39 @@ class RunConfig:
         if not cartesian and not polar:
             object.__setattr__(self, "bob_x_m", 30.0)
             object.__setattr__(self, "bob_y_m", 90.0)
+        pair = ("bob_range_m", "bob_angle_deg") if polar else ("bob_x_m", "bob_y_m")
+        for key in pair:
+            if getattr(self, key) is None:
+                raise ConfigError(f"give the receiver by both {pair[0]} and {pair[1]}",
+                                  key=key)
         if self.m < 1:
             raise ConfigError("need at least one antenna", key="m")
         if self.k < 0:
             raise ConfigError("adversary count must be non-negative", key="k")
         if self.trials < 1:
             raise ConfigError("need at least one trial", key="trials")
+        if self.seed < 0:
+            raise ConfigError("master seed must be non-negative", key="seed")
         self._check_baseline_grid()
+        self._check_sweep_sizes()
         for build, keys in _DERIVED_KEYS:
             try:
                 getattr(self, build)()
             except ValueError as exc:
                 raise ConfigError(str(exc), key=keys) from exc
+
+    def _check_sweep_sizes(self) -> None:
+        "The sweeps' array sizes and adversary counts are ones their commands can run."
+        if not self.k_values or min(self.k_values) < 0:
+            raise ConfigError("need at least one adversary count, none negative",
+                              key="k_values")
+        if any(m < 4 for m in self.m_values):
+            raise ConfigError("array-size sweep needs at least four antennas",
+                              key="m_values")
+        k_max = max(self.k_values)
+        if any(k_max >= m for m in self.sweep_k_m_values):
+            raise ConfigError(f"largest adversary count {k_max} must be below every "
+                              "sweep_k_m_values entry", key="k_values")
 
     def _check_baseline_grid(self) -> None:
         """The uniform baseline grid of every array size the run may build fits its box.
@@ -203,10 +224,8 @@ class RunConfig:
 
     def annealer(self) -> AnnealerConfig:
         return AnnealerConfig(self.sa_initial_temperature, self.sa_cooling,
-                              self.sa_iterations, self.seed)
-
-    def alternation(self) -> AlternationConfig:
-        return AlternationConfig(self.sa_rounds, self.sa_round_tol)
+                              self.sa_iterations, self.seed, self.sa_rounds,
+                              self.sa_round_tol)
 
     def perturber(self) -> PerturbConfig:
         return PerturbConfig(self.ridge_position, self.ridge_frequency,

@@ -33,8 +33,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import annealing, perturbation
-from .annealing import AlternationConfig, AnnealerConfig
-from .model import ArrayDesign, Placement, Scenario, beampattern_batch, snr_bob, \
+from .annealing import AnnealerConfig
+from .model import SPEED_OF_LIGHT, ArrayDesign, Scenario, beampattern_batch, snr_bob, \
     wavelength, worst_case_secrecy_rate
 from .perturbation import PerturbConfig
 from .scenario import BaselineParams, DEFAULT_EVE_DOMAIN, GridSpec, LinkBudgetConfig, \
@@ -67,8 +67,6 @@ _PHASES = {
 
 SA_KINDS = (ConfigurationKind.MA_OPT1, ConfigurationKind.FDA_OPT1,
             ConfigurationKind.FDMA_OPT1)
-PERTURB_KINDS = (ConfigurationKind.MA_OPT2, ConfigurationKind.FDA_OPT2,
-                 ConfigurationKind.FDMA_OPT2)
 ALL_KINDS = tuple(ConfigurationKind)
 
 
@@ -104,8 +102,7 @@ def baseline_design(kind: ConfigurationKind, num_antennas: int,
 
 def optimize_configuration(kind: ConfigurationKind, scenario: Scenario,
                            num_antennas: int, params: BaselineParams, f0: float,
-                           sa_cfg: AnnealerConfig, alt_cfg: AlternationConfig,
-                           perturb_cfg: PerturbConfig,
+                           sa_cfg: AnnealerConfig, perturb_cfg: PerturbConfig,
                            seed: int | None = None,
                            trace: list | None = None) -> ArrayDesign:
     """Design realizing a configuration kind on the given scenario.
@@ -120,8 +117,8 @@ def optimize_configuration(kind: ConfigurationKind, scenario: Scenario,
     phases = _PHASES[kind]
     if kind in SA_KINDS:
         cfg = sa_cfg if seed is None else replace(sa_cfg, seed=seed)
-        return annealing.alternate_sa(scenario, design, params, cfg, alt_cfg,
-                                      trace=trace, phases=phases)
+        return annealing.alternate_sa(scenario, design, params, cfg, trace=trace,
+                                      phases=phases)
     return perturbation.alternate_perturb(scenario, design, params, perturb_cfg,
                                           trace=trace, phases=phases)
 
@@ -170,15 +167,30 @@ def raster_beampattern(scenario: Scenario, design: ArrayDesign,
     return np.concatenate(xs), np.concatenate(ys), np.concatenate(power_db)
 
 
-def _scenario_with_eves(base: Scenario, eves: list[Placement]) -> Scenario:
-    return Scenario(base.bob, tuple(eves), base.tx_power_linear, base.speed_of_light)
+def _run_jobs(jobs: list[tuple], f0: float, sa_cfg: AnnealerConfig,
+              perturb_cfg: PerturbConfig, master_seed: int) -> list[SweepRecord]:
+    """Optimize and rate each sweep job, in list order.
+
+    A job is (sweep value, trial, label, scenario, M, params, kind); its seed
+    is derived from the master seed and its own label only, so a row does
+    not depend on which other jobs the sweep holds.
+    """
+    records = []
+    for value, trial, label, scenario, m, params, kind in jobs:
+        seed = derive_seed(master_seed, label)
+        design = optimize_configuration(kind, scenario, m, params, f0, sa_cfg, perturb_cfg,
+                                        seed=seed)
+        rate = configuration_rate(kind, scenario, design)
+        logger.info("%s rate=%.4f", label, rate)
+        records.append(SweepRecord(value, kind, rate, seed, trial))
+    return records
 
 
 def sweep_vs_num_antennas(base_scenario: Scenario, m_values: list[int],
                           kinds: tuple[ConfigurationKind, ...],
                           link_cfg: LinkBudgetConfig, f0: float,
-                          sa_cfg: AnnealerConfig, alt_cfg: AlternationConfig,
-                          perturb_cfg: PerturbConfig, master_seed: int, *,
+                          sa_cfg: AnnealerConfig, perturb_cfg: PerturbConfig,
+                          master_seed: int, *,
                           baseline_params: Callable[[int], BaselineParams]
                           ) -> list[SweepRecord]:
     """Secrecy rate versus array size with the three canonical adversaries.
@@ -189,29 +201,23 @@ def sweep_vs_num_antennas(base_scenario: Scenario, m_values: list[int],
     """
     if any(m < 4 for m in m_values):
         raise ValueError("array-size sweep needs at least four antennas")
-    records = []
+    jobs = []
     for m in m_values:
         params = baseline_params(m)
         eves = place_canonical_eves(m, base_scenario.bob, params, link_cfg, f0,
                                     base_scenario.speed_of_light)
-        scenario = _scenario_with_eves(base_scenario, eves)
-        for kind in kinds:
-            seed = derive_seed(master_seed, f"sweep-m/M={m}/kind={kind.value}")
-            design = optimize_configuration(kind, scenario, m, params, f0,
-                                            sa_cfg, alt_cfg, perturb_cfg, seed=seed)
-            rate = configuration_rate(kind, scenario, design)
-            logger.info("sweep-m M=%d %s rate=%.4f", m, kind.value, rate)
-            records.append(SweepRecord(m, kind, rate, seed))
-    return records
+        scenario = replace(base_scenario, eves=eves)
+        jobs += [(m, 0, f"sweep-m/M={m}/kind={kind.value}", scenario, m, params, kind)
+                 for kind in kinds]
+    return _run_jobs(jobs, f0, sa_cfg, perturb_cfg, master_seed)
 
 
 def sweep_vs_num_eves(base_scenario: Scenario, k_values: list[int], m_values: list[int],
                       kinds: tuple[ConfigurationKind, ...],
                       link_cfg: LinkBudgetConfig, f0: float,
-                      sa_cfg: AnnealerConfig, alt_cfg: AlternationConfig,
-                      perturb_cfg: PerturbConfig, master_seed: int,
-                      trials: int = 20,
-                      domain: PolarDomain | None = None, *,
+                      sa_cfg: AnnealerConfig, perturb_cfg: PerturbConfig,
+                      master_seed: int, trials: int = 20,
+                      domain: PolarDomain = DEFAULT_EVE_DOMAIN, *,
                       baseline_params: Callable[[int], BaselineParams]
                       ) -> list[SweepRecord]:
     """Secrecy rate versus adversary count with random placements per trial.
@@ -227,28 +233,19 @@ def sweep_vs_num_eves(base_scenario: Scenario, k_values: list[int], m_values: li
     k_max = max(k_values)
     if any(k_max >= m for m in m_values):
         raise ValueError("need fewer eavesdroppers than antennas")
-    c = base_scenario.speed_of_light
-    records = []
+    jobs = []
     for m in m_values:
         params = baseline_params(m)
         for trial in range(trials):
-            eve_seed = derive_seed(master_seed, f"sweep-k/M={m}/trial={trial}")
             all_eves = sample_eves_outside_target(
-                k_max, base_scenario.bob, m, params, link_cfg, f0, c,
-                domain=domain if domain is not None else DEFAULT_EVE_DOMAIN,
-                rng_seed=eve_seed)
+                k_max, base_scenario.bob, m, params, link_cfg, f0,
+                base_scenario.speed_of_light, domain=domain,
+                rng_seed=derive_seed(master_seed, f"sweep-k/M={m}/trial={trial}"))
             for k in k_values:
-                scenario = _scenario_with_eves(base_scenario, all_eves[:k])
-                for kind in kinds:
-                    seed = derive_seed(
-                        master_seed, f"sweep-k/M={m}/K={k}/trial={trial}/kind={kind.value}")
-                    design = optimize_configuration(kind, scenario, m, params, f0, sa_cfg,
-                                                    alt_cfg, perturb_cfg, seed=seed)
-                    rate = configuration_rate(kind, scenario, design)
-                    logger.info("sweep-k K=%d M=%d %s trial=%d rate=%.4f",
-                                k, m, kind.value, trial, rate)
-                    records.append(SweepRecord(k, kind, rate, seed, trial))
-    return records
+                scenario = replace(base_scenario, eves=all_eves[:k])
+                jobs += [(k, trial, f"sweep-k/M={m}/K={k}/trial={trial}/kind={kind.value}",
+                          scenario, m, params, kind) for kind in kinds]
+    return _run_jobs(jobs, f0, sa_cfg, perturb_cfg, master_seed)
 
 
 def mean_rates(records: list[SweepRecord]) -> dict[tuple[int, ConfigurationKind], float]:
@@ -260,12 +257,13 @@ def mean_rates(records: list[SweepRecord]) -> dict[tuple[int, ConfigurationKind]
     return {key: float(np.mean(vals)) for key, vals in sums.items()}
 
 
-def compare_designs(design_a: ArrayDesign, design_b: ArrayDesign) -> list[DesignDiffRecord]:
+def compare_designs(design_a: ArrayDesign, design_b: ArrayDesign,
+                    c: float = SPEED_OF_LIGHT) -> list[DesignDiffRecord]:
     "Per-element table of two designs, positions in wavelengths and shifts in MHz."
     if design_a.num_antennas != design_b.num_antennas:
         raise ValueError("designs must have the same number of antennas")
-    lam_a = wavelength(design_a.f0)
-    lam_b = wavelength(design_b.f0)
+    lam_a = wavelength(design_a.f0, c)
+    lam_b = wavelength(design_b.f0, c)
     return [
         DesignDiffRecord(
             antenna=i,

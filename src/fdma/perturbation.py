@@ -30,7 +30,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .model import ArrayDesign, Scenario
 from .scenario import BaselineParams, centered_indices
-from .annealing import AlternationConfig, alternate, cost
+from .annealing import _check_alternation, alternate, cost
 
 
 class SingularSystemError(ValueError):
@@ -43,7 +43,7 @@ class PerturbConfig:
 
     ridge None selects 1e-3 * trace(A^T Q A) / M per solve, which keeps the
     perturbations small enough for the first-order model to stay honest.
-    Rounds stop as AlternationConfig's do: after max_rounds, or once a
+    Rounds stop as AnnealerConfig's do: after max_rounds, or once a
     round's relative cost change |start - end| / start is below relative_tolerance.
     """
 
@@ -56,7 +56,7 @@ class PerturbConfig:
         for ridge in (self.ridge_position, self.ridge_frequency):
             if ridge is not None and ridge < 0.0:
                 raise ValueError("ridge weights must be non-negative")
-        AlternationConfig(self.max_rounds, self.relative_tolerance)  # checks both
+        _check_alternation(self.max_rounds, self.relative_tolerance)
 
 
 @dataclass(frozen=True)

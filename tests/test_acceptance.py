@@ -16,8 +16,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from fdma.annealing import AlternationConfig, AnnealerConfig, anneal_positions, cost, \
-    metropolis_accept
+from fdma.annealing import AnnealerConfig, anneal_positions, cost, metropolis_accept
 from fdma.experiments import ALL_KINDS, ConfigurationKind as Kind, mean_rates, \
     sweep_vs_num_antennas, sweep_vs_num_eves
 from fdma.model import ArrayDesign, Scenario, SPEED_OF_LIGHT, beampattern_batch, \
@@ -251,8 +250,8 @@ def test_criterion_09_rate_trends_versus_array_size():
     m_values = [11, 21, 31]
     records = sweep_vs_num_antennas(
         base, m_values, ALL_KINDS, LINK, F0,
-        AnnealerConfig(max_iterations=5000, seed=0), AlternationConfig(),
-        PerturbConfig(), master_seed=MASTER_SEED, baseline_params=default_grid)
+        AnnealerConfig(max_iterations=5000, seed=0), PerturbConfig(),
+        master_seed=MASTER_SEED, baseline_params=default_grid)
     rates = {(r.sweep_value, r.configuration): r.secrecy_rate_bps_hz for r in records}
 
     ubs = [rates[(m, Kind.UPPER_BOUND)] for m in m_values]
@@ -297,9 +296,8 @@ def test_criterion_10_rate_trends_versus_adversary_count():
     kinds = (Kind.FDMA_OPT1, Kind.FDMA_OPT2)
     records = sweep_vs_num_eves(
         base, [1, 3, 6], [21], kinds, LINK, F0,
-        AnnealerConfig(max_iterations=5000, seed=0), AlternationConfig(),
-        PerturbConfig(), master_seed=MASTER_SEED, trials=20,
-        baseline_params=default_grid)
+        AnnealerConfig(max_iterations=5000, seed=0), PerturbConfig(),
+        master_seed=MASTER_SEED, trials=20, baseline_params=default_grid)
     means = mean_rates(records)
     seq1 = [means[(k, Kind.FDMA_OPT1)] for k in (1, 3, 6)]
     seq2 = [means[(k, Kind.FDMA_OPT2)] for k in (1, 3, 6)]

@@ -6,7 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
-from fdma.annealing import AlternationConfig, AnnealerConfig, alternate_sa
+from fdma.annealing import AnnealerConfig, alternate_sa
 from fdma.model import Scenario
 from fdma.perturbation import PerturbConfig, alternate_perturb
 from fdma.scenario import default_baseline_params, make_linear_fda
@@ -54,8 +54,9 @@ def test_alternation_bytes_pinned(link_cfg, bob):
         init = random_design(np.random.default_rng(m + 10 * k), m)
         trace: list = []
         design = alternate_sa(scenario, init, params,
-                              AnnealerConfig(max_iterations=40, seed=m * k + rounds),
-                              AlternationConfig(rounds, tol), trace, phases)
+                              AnnealerConfig(max_iterations=40, seed=m * k + rounds,
+                                             max_rounds=rounds, relative_tolerance=tol),
+                              trace, phases)
         _digest_update(digest, "sa/" + label, design, init, trace)
 
         baseline = make_linear_fda(m, params, F0)
@@ -68,8 +69,8 @@ def test_alternation_bytes_pinned(link_cfg, bob):
 
 
 def _run_sa(scenario, init, params, rounds, phases):
-    return alternate_sa(scenario, init, params, AnnealerConfig(max_iterations=5, seed=0),
-                        AlternationConfig(max_rounds=rounds), None, phases)
+    return alternate_sa(scenario, init, params,
+                        AnnealerConfig(max_iterations=5, seed=0, max_rounds=rounds), None, phases)
 
 
 def _run_perturb(scenario, init, params, rounds, phases):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fdma.annealing as annealing
-from fdma.annealing import AlternationConfig, AnnealerConfig, InfeasibleInitializationError, \
+from fdma.annealing import AnnealerConfig, InfeasibleInitializationError, \
     InfeasibleSpacingError, adaptive_max_spacing, alternate_sa, anneal_freq_shifts, \
     anneal_positions, cost, metropolis_accept, reconstruct_positions, schedule_summary, \
     spacings
@@ -310,18 +310,17 @@ class TestAlternateSa:
         scenario = small_scenario(link_cfg, bob)
         init = make_linear_fda(21, default_params, F0)
         out = alternate_sa(scenario, init, default_params,
-                           AnnealerConfig(max_iterations=10, seed=0),
-                           AlternationConfig(max_rounds=0))
+                           AnnealerConfig(max_iterations=10, seed=0, max_rounds=0))
         assert out is init
 
     def test_deterministic(self, link_cfg, bob):
         scenario = small_scenario(link_cfg, bob, num_eves=2)
         params = default_baseline_params(6, F0, SPEED_OF_LIGHT)
         init = make_linear_fda(6, params, F0)
-        sa_cfg = AnnealerConfig(max_iterations=200, seed=31)
-        alt_cfg = AlternationConfig(max_rounds=2, relative_tolerance=1e-6)
-        a = alternate_sa(scenario, init, params, sa_cfg, alt_cfg)
-        b = alternate_sa(scenario, init, params, sa_cfg, alt_cfg)
+        sa_cfg = AnnealerConfig(max_iterations=200, seed=31, max_rounds=2,
+                                relative_tolerance=1e-6)
+        a = alternate_sa(scenario, init, params, sa_cfg)
+        b = alternate_sa(scenario, init, params, sa_cfg)
         np.testing.assert_array_equal(a.positions, b.positions)
         np.testing.assert_array_equal(a.freq_shifts, b.freq_shifts)
 
@@ -330,8 +329,7 @@ class TestAlternateSa:
         params = default_baseline_params(3, F0, SPEED_OF_LIGHT)
         init = make_linear_fda(3, params, F0)
         with pytest.raises(ValueError):
-            alternate_sa(scenario, init, params, AnnealerConfig(seed=0),
-                         AlternationConfig())
+            alternate_sa(scenario, init, params, AnnealerConfig(seed=0))
 
     @pytest.mark.slow
     def test_canonical_eves_suppressed_twenty_db_per_point(self, default_scenario,
@@ -341,9 +339,9 @@ class TestAlternateSa:
         from fdma.model import beampattern
 
         init = make_linear_fda(21, default_params, F0)
-        sa_cfg = AnnealerConfig(max_iterations=12000, seed=2024)
-        alt_cfg = AlternationConfig(max_rounds=4, relative_tolerance=1e-4)
-        optimized = alternate_sa(default_scenario, init, default_params, sa_cfg, alt_cfg)
+        sa_cfg = AnnealerConfig(max_iterations=12000, seed=2024, max_rounds=4,
+                                relative_tolerance=1e-4)
+        optimized = alternate_sa(default_scenario, init, default_params, sa_cfg)
         assert cost(default_scenario, optimized) <= cost(default_scenario, init)
         suppressions = []
         for eve in default_scenario.eves:

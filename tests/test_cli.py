@@ -251,6 +251,7 @@ class TestConfigParsing:
         ("eve_r_min_m = 300", {"eve_r_min_m", "eve_r_max_m"}),
         ("eve_theta_max_deg = 200", {"eve_theta_max_deg"}),
         ("ref_path_loss_db = -1", {"ref_path_loss_db"}),
+        ("sa_round_tol = 0", {"sa_round_tol"}),
     ])
     def test_rejected_value_names_its_keys(self, text, keys):
         # Each of these used to parse, and the command failed later with a
@@ -258,6 +259,49 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as err:
             parse_config_text("f0_hz = 30e9\n" + text)
         assert keys <= set(err.value.key.split(", ")), err.value.key
+
+    def test_alternation_keys_feed_the_annealer(self):
+        cfg = parse_config_text("f0_hz = 30e9\nsa_rounds = 2\nsa_round_tol = 0.5")
+        assert (cfg.annealer().max_rounds, cfg.annealer().relative_tolerance) == (2, 0.5)
+
+    @pytest.mark.parametrize("text,key", [
+        ("bob_x_m = 30", "bob_y_m"),
+        ("bob_y_m = 90", "bob_x_m"),
+        ("bob_range_m = 50", "bob_angle_deg"),
+        ("bob_angle_deg = 60", "bob_range_m"),
+        ("bob_x_m = 30\nbob_y_m = -90", "bob_y_m"),
+        ("bob_range_m = 50\nbob_angle_deg = 180", "bob_angle_deg"),
+        ("bob_range_m = 0\nbob_angle_deg = 60", "bob_range_m"),
+    ])
+    def test_receiver_keys_checked(self, text, key):
+        # Half a coordinate pair, or a receiver off the half plane, used to
+        # parse and then fail the command with an error that named no key.
+        with pytest.raises(ConfigError) as err:
+            parse_config_text("f0_hz = 30e9\n" + text)
+        assert key in err.value.key.split(", "), err.value.key
+
+    @pytest.mark.parametrize("text,key", [
+        ("k_values = 1, 21", "k_values"),
+        ("k_values = 1, 9\nsweep_k_m_values = 9, 21", "k_values"),
+        ("k_values =", "k_values"),
+        ("k_values = -1, 2", "k_values"),
+        ("m_values = 3, 5", "m_values"),
+    ])
+    def test_sweep_lists_checked(self, text, key):
+        with pytest.raises(ConfigError) as err:
+            parse_config_text("f0_hz = 30e9\n" + text)
+        assert err.value.key == key
+
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        with pytest.raises(ConfigError) as err:
+            parse_config_text("f0_hz = 30e9\nseed = -1")
+        assert err.value.key == "seed"
+        config = tmp_path / "run.cfg"
+        config.write_text("f0_hz = 30e9\nm = 9\n")
+        assert main(["--config", str(config), "--seed", "-1", "--out", str(tmp_path / "out"),
+                     "optimize", "--method", "sa"]) == 1
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "ConfigError" and record["key"] == "seed"
 
     def test_zero_trials_rejected(self):
         with pytest.raises(ConfigError) as err:
@@ -527,7 +571,7 @@ class TestSweepCommands:
         cfg = parse_config_text(PIN_CONFIG + "delta_f_hz = -2e6\n")
         records = sweep_vs_num_antennas(
             cfg.base_scenario(), list(cfg.m_values), ALL_KINDS, cfg.link_budget(),
-            cfg.f0_hz, cfg.annealer(), cfg.alternation(), cfg.perturber(), cfg.seed,
+            cfg.f0_hz, cfg.annealer(), cfg.perturber(), cfg.seed,
             baseline_params=cfg.baseline_params)
         expected = sorted((r.sweep_value, r.configuration.value, r.secrecy_rate_bps_hz,
                            r.seed, r.trial) for r in records)
@@ -578,6 +622,21 @@ class TestSweepCommands:
 
 
 class TestCompareCommand:
+    def test_wavelengths_use_configured_speed_of_light(self, tmp_path):
+        config = tmp_path / "c.cfg"
+        config.write_text("f0_hz = 30e9\nm = 9\nk = 0\nspeed_of_light = 3e8\n")
+        out = tmp_path / "out"
+        assert main(["--config", str(config), "--out", str(out),
+                     "optimize", "--method", "perturb"]) == 0
+        doc = json.loads((out / "design.json").read_text())
+        np.testing.assert_allclose(np.diff(doc["positions_wavelengths"]), 0.75, rtol=1e-12)
+        design = str(out / "design.json")
+        assert main(["--config", str(config), "--out", str(tmp_path / "cmp"), "compare",
+                     "--design-a", design, "--design-b", design]) == 0
+        rows = [line.split(",") for line
+                in (tmp_path / "cmp" / "compare.csv").read_text().splitlines()[1:]]
+        np.testing.assert_allclose(np.diff([float(r[1]) for r in rows]), 0.75, rtol=1e-12)
+
     def test_round_trip(self, config_path, tmp_path):
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"

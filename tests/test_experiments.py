@@ -1,10 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fdma.annealing import AlternationConfig, AnnealerConfig, cost
+from fdma.annealing import AnnealerConfig, cost
 from fdma.experiments import ALL_KINDS, ConfigurationKind, baseline_design, \
     compare_designs, configuration_rate, mean_rates, optimize_configuration, \
     raster_beampattern, raster_columns, sweep_vs_num_antennas, sweep_vs_num_eves
@@ -17,8 +18,7 @@ from conftest import F0, default_grid, random_design, random_placement
 
 LAM = wavelength(F0)
 
-FAST_SA = AnnealerConfig(max_iterations=600, seed=0)
-FAST_ALT = AlternationConfig(max_rounds=2, relative_tolerance=1e-3)
+FAST_SA = AnnealerConfig(max_iterations=600, seed=0, max_rounds=2, relative_tolerance=1e-3)
 
 
 @pytest.fixture(scope="module")
@@ -135,7 +135,7 @@ class TestRaster:
 @pytest.fixture(scope="module")
 def records(base_scenario, link_mod):
     return sweep_vs_num_antennas(
-        base_scenario, [5, 7], ALL_KINDS, link_mod, F0, FAST_SA, FAST_ALT,
+        base_scenario, [5, 7], ALL_KINDS, link_mod, F0, FAST_SA,
         PerturbConfig(), master_seed=11, baseline_params=default_grid)
 
 
@@ -166,20 +166,28 @@ class TestSweepVsNumAntennas:
                      ConfigurationKind.FDA_OPT2, ConfigurationKind.FDMA_OPT2):
             baseline = baseline_design(kind, m, params, F0)
             optimized = optimize_configuration(kind, scenario, m, params, F0,
-                                               FAST_SA, FAST_ALT, PerturbConfig(),
+                                               FAST_SA, PerturbConfig(),
                                                seed=5)
             assert cost(scenario, optimized) <= cost(scenario, baseline) + 1e-12
 
     def test_deterministic(self, base_scenario, link_mod, records):
         again = sweep_vs_num_antennas(
-            base_scenario, [5, 7], ALL_KINDS, link_mod, F0, FAST_SA, FAST_ALT,
+            base_scenario, [5, 7], ALL_KINDS, link_mod, F0, FAST_SA,
             PerturbConfig(), master_seed=11, baseline_params=default_grid)
         assert again == records
+
+    def test_rows_depend_only_on_own_label(self, base_scenario, link_mod, records):
+        alone = sweep_vs_num_antennas(
+            base_scenario, [5, 7], (ConfigurationKind.FDMA_OPT1,), link_mod, F0, FAST_SA,
+            PerturbConfig(), master_seed=11, baseline_params=default_grid)
+        assert len(alone) == 2
+        assert [r for r in records if r.configuration is ConfigurationKind.FDMA_OPT1] \
+            == alone
 
     def test_rejects_tiny_arrays(self, base_scenario, link_mod):
         with pytest.raises(ValueError):
             sweep_vs_num_antennas(base_scenario, [3], ALL_KINDS, link_mod, F0,
-                                  FAST_SA, FAST_ALT, PerturbConfig(), master_seed=0,
+                                  FAST_SA, PerturbConfig(), master_seed=0,
                                   baseline_params=default_grid)
 
 
@@ -188,7 +196,7 @@ class TestSweepVsNumEves:
         records = sweep_vs_num_eves(
             base_scenario, [0], [9], (ConfigurationKind.FDMA_OPT1,
                                       ConfigurationKind.FDMA_OPT2),
-            link_mod, F0, FAST_SA, FAST_ALT, PerturbConfig(), master_seed=3, trials=2,
+            link_mod, F0, FAST_SA, PerturbConfig(), master_seed=3, trials=2,
             baseline_params=default_grid)
         params = default_baseline_params(9, F0, SPEED_OF_LIGHT)
         ub = math.log2(1.0 + snr_bob(base_scenario, make_cpa(9, params, F0)))
@@ -197,7 +205,7 @@ class TestSweepVsNumEves:
 
     def test_rows_depend_only_on_own_label(self, base_scenario, link_mod):
         kwargs = dict(k_values=[1, 2], m_values=[9], link_cfg=link_mod, f0=F0,
-                      sa_cfg=FAST_SA, alt_cfg=FAST_ALT, perturb_cfg=PerturbConfig(),
+                      sa_cfg=FAST_SA, perturb_cfg=PerturbConfig(),
                       master_seed=17, trials=3, baseline_params=default_grid)
         both = sweep_vs_num_eves(base_scenario, kinds=(ConfigurationKind.FDMA_OPT1,
                                                        ConfigurationKind.FDMA_OPT2),
@@ -215,6 +223,31 @@ class TestSweepVsNumEves:
             for t, rate in enumerate((1.0, 3.0))
         ]
         assert mean_rates(recs)[(1, ConfigurationKind.CPA)] == 2.0
+
+
+# One sha256 over the records of both sweeps below, rates as float.hex, taken
+# before the two sweeps shared one job loop.  Two trials pin the labels of a
+# trial > 0, which the one-trial CLI digests never reach.
+SWEEP_DIGEST = "34b0c44c2e239427016446a835dbf9bedd90d0f6025f8b0ed4941a159b2c77b0"
+
+
+def test_sweep_bytes_pinned(base_scenario, link_mod):
+    kinds = (ConfigurationKind.CPA, ConfigurationKind.FDMA_OPT1,
+             ConfigurationKind.FDMA_OPT2, ConfigurationKind.UPPER_BOUND)
+    sa_cfg = AnnealerConfig(max_iterations=150, seed=0, max_rounds=2)
+    by_m = sweep_vs_num_antennas(base_scenario, [7, 9], kinds, link_mod, F0, sa_cfg,
+                                 PerturbConfig(), master_seed=5,
+                                 baseline_params=default_grid)
+    by_k = sweep_vs_num_eves(base_scenario, [0, 1, 2], [7, 9], kinds, link_mod, F0, sa_cfg,
+                             PerturbConfig(), master_seed=5, trials=2,
+                             baseline_params=default_grid)
+    assert (len(by_m), len(by_k)) == (8, 48)
+    digest = hashlib.sha256()
+    for name, records in (("sweep-m", by_m), ("sweep-k", by_k)):
+        for r in records:
+            digest.update(f"{name}|{r.sweep_value}|{r.configuration.value}|"
+                          f"{r.secrecy_rate_bps_hz.hex()}|{r.seed}|{r.trial}\n".encode())
+    assert digest.hexdigest() == SWEEP_DIGEST
 
 
 class TestCompareDesigns:
@@ -251,10 +284,10 @@ class TestCompareDesigns:
         cpa = make_cpa(m, params, F0)
         sa_cfg = AnnealerConfig(max_iterations=4000, seed=42)
         opt1 = optimize_configuration(ConfigurationKind.FDMA_OPT1, scenario, m, params,
-                                      F0, sa_cfg, AlternationConfig(), PerturbConfig(),
+                                      F0, sa_cfg, PerturbConfig(),
                                       seed=42)
         opt2 = optimize_configuration(ConfigurationKind.FDMA_OPT2, scenario, m, params,
-                                      F0, sa_cfg, AlternationConfig(), PerturbConfig())
+                                      F0, sa_cfg, PerturbConfig())
         dev1 = np.max(np.abs(opt1.positions - cpa.positions)) / LAM
         dev2 = np.max(np.abs(opt2.positions - cpa.positions)) / LAM
         assert dev2 < dev1
@@ -269,20 +302,20 @@ class TestConfigurationSemantics:
         cpa = make_cpa(m, params, F0)
         fda = make_linear_fda(m, params, F0)
         ma = optimize_configuration(ConfigurationKind.MA_OPT1, scenario, m, params, F0,
-                                    FAST_SA, FAST_ALT, PerturbConfig(), seed=1)
+                                    FAST_SA, PerturbConfig(), seed=1)
         assert np.all(ma.freq_shifts == 0.0)
         fda_opt = optimize_configuration(ConfigurationKind.FDA_OPT1, scenario, m, params,
-                                         F0, FAST_SA, FAST_ALT, PerturbConfig(), seed=1)
+                                         F0, FAST_SA, PerturbConfig(), seed=1)
         np.testing.assert_array_equal(fda_opt.positions, fda.positions)
         ma2 = optimize_configuration(ConfigurationKind.MA_OPT2, scenario, m, params, F0,
-                                     FAST_SA, FAST_ALT, PerturbConfig())
+                                     FAST_SA, PerturbConfig())
         assert np.all(ma2.freq_shifts == 0.0)
         fda2 = optimize_configuration(ConfigurationKind.FDA_OPT2, scenario, m, params,
-                                      F0, FAST_SA, FAST_ALT, PerturbConfig())
+                                      F0, FAST_SA, PerturbConfig())
         np.testing.assert_array_equal(fda2.positions, fda.positions)
         assert np.array_equal(
             optimize_configuration(ConfigurationKind.CPA, scenario, m, params, F0,
-                                   FAST_SA, FAST_ALT, PerturbConfig()).positions,
+                                   FAST_SA, PerturbConfig()).positions,
             cpa.positions)
 
     def test_upper_bound_rate_ignores_adversaries(self, bob_mod, link_mod):
