@@ -8,9 +8,12 @@ iteration from a uniform proposal; worse moves are accepted with
 probability exp(-dJ / T) under a geometric cooling schedule T_t = alpha^t T0.
 The best state ever visited is returned.
 
-One loop drives a move object per phase.  A candidate's cost is always the
-floating-point computation cost() does on the candidate design, bit for bit;
-the shift phase only caches the parts of it that its fixed positions fix.
+One loop drives both phases.  It draws a window of candidates from the
+current state and costs them in one batched gain-kernel call; each
+candidate's cost is the floating-point computation cost() does on its
+design, bit for bit.  Draws made past the window's first acceptance are
+rewound, so every chain, trace and generator state is the one a loop that
+draws and costs one candidate at a time would produce.
 """
 
 from __future__ import annotations
@@ -22,13 +25,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import ArrayDesign, Scenario, _bob_path, _bob_phasors, _probe_paths, \
-    _probe_phasors, eve_gains
+from .model import ArrayDesign, Scenario, eve_gains
 from .scenario import BaselineParams
 
 logger = logging.getLogger("fdma.annealing")
 
 _SPAN_SLACK = 1e-9  # relative tolerance on the aperture constraint
+_MAX_WINDOW = 32  # most candidates drawn from one state and costed in one kernel call
 
 
 class InfeasibleSpacingError(ValueError):
@@ -87,14 +90,19 @@ class IterationRecord(NamedTuple):
 
 def cost(scenario: Scenario, design: ArrayDesign) -> float:
     "Optimization objective: total linear eavesdropper SNR under matched weights."
-    return _raw_cost(scenario, design.positions, design.freq_shifts, design.f0)
+    return float(_raw_cost(scenario, design.positions, design.freq_shifts, design.f0))
 
 
 def _raw_cost(scenario: Scenario, positions: np.ndarray, shifts: np.ndarray,
-              f0: float) -> float:
-    "cost() on raw design arrays; the annealer evaluates candidates through it."
+              f0: float) -> np.ndarray:
+    """cost() on raw design arrays, or on stacks of them (leading axes broadcast).
+
+    The weighted sum is one stacked dot product per row, so each row costs
+    exactly what its own unbatched evaluation does.
+    """
     gains = eve_gains(scenario, positions, shifts, f0)
-    return float(scenario.eve_weights @ gains) / positions.size
+    weights = scenario.eve_weights
+    return np.matmul(gains[..., None, :], weights[:, None])[..., 0, 0] / positions.shape[-1]
 
 
 def spacings(positions: np.ndarray) -> np.ndarray:
@@ -105,27 +113,32 @@ def spacings(positions: np.ndarray) -> np.ndarray:
 def reconstruct_positions(spacing_vec: np.ndarray, aperture_half_width: float) -> np.ndarray:
     """Positions from spacings, with the occupied span centered at the origin.
 
-    Raises InfeasibleSpacingError when the total span exceeds the aperture.
+    spacing_vec may be a (..., M-1) stack of spacing vectors.  Raises
+    InfeasibleSpacingError when any total span exceeds the aperture.
     """
     d = np.asarray(spacing_vec, dtype=float)
-    span = float(d.sum())
+    span = d.sum(axis=-1)
     limit = 2.0 * aperture_half_width
-    if span > limit * (1.0 + _SPAN_SLACK):
+    if np.any(span > limit * (1.0 + _SPAN_SLACK)):
         raise InfeasibleSpacingError(
-            f"total span {span:.6g} exceeds aperture 2D = {limit:.6g}"
+            f"total span {np.max(span):.6g} exceeds aperture 2D = {limit:.6g}"
         )
-    positions = np.empty(d.size + 1)
-    positions[0] = -span / 2.0
-    d.cumsum(out=positions[1:])
-    positions[1:] += -span / 2.0
+    start = (-span / 2.0)[..., None]
+    positions = np.empty(d.shape[:-1] + (d.shape[-1] + 1,))
+    positions[..., :1] = start
+    d.cumsum(axis=-1, out=positions[..., 1:])
+    positions[..., 1:] += start
     return positions
 
 
-def adaptive_max_spacing(spacing_vec: np.ndarray, index: int,
-                         aperture_half_width: float) -> float:
-    "Largest value spacing `index` may take while the span still fits the aperture."
+def adaptive_max_spacing(spacing_vec: np.ndarray, index,
+                         aperture_half_width: float):
+    """Largest value spacing `index` may take while the span still fits the aperture.
+
+    index may also be a slice or an index array, for several spacings at once.
+    """
     d = np.asarray(spacing_vec, dtype=float)
-    return 2.0 * aperture_half_width - (float(d.sum()) - float(d[index]))
+    return 2.0 * aperture_half_width - (float(d.sum()) - d[index])
 
 
 def metropolis_accept(delta_cost: float, temperature: float,
@@ -136,6 +149,15 @@ def metropolis_accept(delta_cost: float, temperature: float,
     if temperature <= 0.0:
         return False
     return math.exp(-delta_cost / temperature) >= rng.random()
+
+
+class _Drawn(NamedTuple):
+    "Stands in for the generator in metropolis_accept with a draw already taken."
+
+    value: float
+
+    def random(self) -> float:
+        return self.value
 
 
 def _check_optimizable(scenario: Scenario, design: ArrayDesign) -> None:
@@ -174,125 +196,100 @@ def _uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
     return lo + (hi - lo) * rng.random()
 
 
-class _PositionMove:
-    """Position-phase state: one spacing redrawn per candidate, shifts fixed.
+class _BlockMove:
+    """One block of the design, spacings or shifts, redrawn one coordinate per candidate.
 
-    Every move recentres the array, so each candidate's cost goes through
-    eve_gains on the reconstructed positions.
+    A candidate sets coordinate i to a uniform draw in [lo, upper[i]], where
+    upper_of(state) gives each coordinate's largest feasible value with the
+    others held; costs(stack) costs the rows of a stack of blocks in one
+    batched call (a single block gives a scalar).
     """
 
-    __slots__ = ("cost", "_scenario", "_shifts", "_f0", "_min_spacing", "_half_width",
-                 "_spacings", "_candidate", "_candidate_cost")
+    __slots__ = ("state", "cost", "upper", "lo", "costs", "_upper_of")
 
-    def __init__(self, scenario: Scenario, spacing_vec: np.ndarray, shifts: np.ndarray,
-                 f0: float, params: BaselineParams):
-        self._scenario, self._shifts, self._f0 = scenario, shifts, f0
-        self._min_spacing = params.min_spacing
-        self._half_width = params.aperture_half_width
-        self._spacings = spacing_vec.copy()
-        self.cost = self._evaluate(self._spacings)
+    def __init__(self, state: np.ndarray, lo: float, upper_of, costs):
+        self.lo, self.costs, self._upper_of = lo, costs, upper_of
+        self.settle(state, float(costs(state)))
 
-    def _evaluate(self, spacing_vec: np.ndarray) -> float:
-        positions = reconstruct_positions(spacing_vec, self._half_width)
-        return _raw_cost(self._scenario, positions, self._shifts, self._f0)
+    def settle(self, state: np.ndarray, cost: float) -> None:
+        self.state, self.cost, self.upper = state, cost, self._upper_of(state).tolist()
 
-    def propose(self, rng: np.random.Generator) -> float:
-        d = self._spacings
-        m = int(rng.integers(d.size))
-        upper = adaptive_max_spacing(d, m, self._half_width)
-        candidate = d.copy()
-        candidate[m] = _uniform(rng, self._min_spacing, upper)
-        self._candidate = candidate
-        self._candidate_cost = self._evaluate(candidate)
-        return self._candidate_cost
-
-    def accept(self) -> None:
-        self._spacings, self.cost = self._candidate, self._candidate_cost
-
-    def reject(self) -> None:
-        pass
-
-    def state(self) -> np.ndarray:
-        return self._spacings.copy()
+    def draw(self, rng: np.random.Generator) -> tuple[int, float]:
+        index = int(rng.integers(self.state.size))
+        return index, _uniform(rng, self.lo, self.upper[index])
 
 
-class _ShiftMove:
-    """Shift-phase state: one element's shift redrawn per candidate, positions fixed.
-
-    The adversary path matrix and the receiver path are built once.  The
-    phasor matrix and receiver vector of the current state are kept; a
-    candidate for element m recomputes column m and entry m through the
-    model's kernel pieces, and a rejection restores them.  evaluate() is
-    then cost() of the cached design, bit for bit.
-    """
-
-    __slots__ = ("cost", "_weights", "_f0", "_c", "_lo", "_hi", "_shifts", "_paths",
-                 "_bob_path", "_phasors", "_bob", "_undo", "_candidate_cost")
-
-    def __init__(self, scenario: Scenario, positions: np.ndarray, shifts: np.ndarray,
-                 f0: float, bounds: tuple[float, float]):
-        self._weights = scenario.eve_weights
-        self._f0, self._c = f0, scenario.speed_of_light
-        self._lo, self._hi = bounds
-        self._shifts = np.array(shifts, dtype=float)
-        self._paths = _probe_paths(scenario.eve_ranges, scenario.eve_cosines, positions)
-        self._bob_path = _bob_path(scenario.bob, positions)
-        f_over_c = (f0 + self._shifts) / self._c
-        self._phasors = _probe_phasors(self._paths, f_over_c)
-        self._bob = _bob_phasors(self._bob_path, f_over_c)
-        self.cost = self.evaluate()
-
-    def evaluate(self) -> float:
-        "cost() of the design whose phasors are cached, as _raw_cost computes it."
-        gains = np.abs(self._phasors @ self._bob) ** 2
-        return float(self._weights @ gains) / self._shifts.size
-
-    def propose(self, rng: np.random.Generator) -> float:
-        m = int(rng.integers(self._shifts.size))
-        shift = _uniform(rng, self._lo, self._hi)
-        f_over_c = (self._f0 + shift) / self._c
-        self._undo = (m, shift, self._phasors[:, m].copy(), self._bob[m])
-        self._phasors[:, m] = _probe_phasors(self._paths[:, m], f_over_c)
-        self._bob[m] = _bob_phasors(self._bob_path[m], f_over_c)
-        self._candidate_cost = self.evaluate()
-        return self._candidate_cost
-
-    def accept(self) -> None:
-        m, shift, _, _ = self._undo
-        self._shifts[m], self.cost = shift, self._candidate_cost
-
-    def reject(self) -> None:
-        m, _, column, entry = self._undo
-        self._phasors[:, m] = column
-        self._bob[m] = entry
-
-    def state(self) -> np.ndarray:
-        return self._shifts.copy()
+def _position_move(scenario: Scenario, design: ArrayDesign,
+                   params: BaselineParams) -> _BlockMove:
+    "Spacings redrawn under the adaptive span limit; every candidate recentres the array."
+    half_width, shifts, f0 = params.aperture_half_width, design.freq_shifts, design.f0
+    return _BlockMove(
+        _initial_spacings(design, params), params.min_spacing,
+        lambda d: adaptive_max_spacing(d, slice(None), half_width),
+        lambda d: _raw_cost(scenario, reconstruct_positions(d, half_width), shifts, f0))
 
 
-def _anneal_loop(move, cfg: AnnealerConfig, rng: np.random.Generator,
+def _shift_move(scenario: Scenario, design: ArrayDesign,
+                params: BaselineParams) -> _BlockMove:
+    "Shifts redrawn inside the box, positions held."
+    lo, hi = params.freq_shift_bounds
+    positions, f0 = design.positions, design.f0
+    return _BlockMove(_boxed_shifts(design.freq_shifts, params), lo,
+                      lambda shifts: np.full(shifts.size, hi),
+                      lambda shifts: _raw_cost(scenario, positions, shifts, f0))
+
+
+def _anneal_loop(move: _BlockMove, cfg: AnnealerConfig, rng: np.random.Generator,
                  trace: list | None) -> tuple[np.ndarray, float]:
-    """Shared single-coordinate annealing loop; returns the best visited state.
+    """Single-coordinate annealing of move's block; returns the best visited state.
 
-    move holds the current state and its cost; propose() draws a candidate
-    and returns its cost, and accept() or reject() settles it.
+    Works in windows: from the current state it draws a window of
+    candidates, each with the draws a one-at-a-time loop makes while it
+    rejects (index, value, then the Metropolis draw when T > 0), costs them
+    in one call, and scans them in order.  Only an acceptance can break that
+    draw pattern, since a downhill move takes no Metropolis draw, and it
+    ends the window anyway: the generator is rewound to the window's start,
+    the draws of the candidates up to the accepted one are replayed, and
+    the rest of the window is dropped.  A window holds one candidate after
+    an acceptance and doubles, up to _MAX_WINDOW, after each window without
+    one, so a chain that accepts often drops little costed work.
     """
-    best, best_cost = move.state(), move.cost
+    best, best_cost = move.state, move.cost
     t0 = cfg.initial_temperature
     if t0 is None:
         t0 = max(move.cost, 1e-12)
-    for t in range(1, cfg.max_iterations + 1):
-        temperature = t0 * cfg.cooling_factor ** t
-        candidate_cost = move.propose(rng)
-        accepted = metropolis_accept(candidate_cost - move.cost, temperature, rng)
-        if accepted:
-            move.accept()
-            if candidate_cost < best_cost:
-                best, best_cost = move.state(), candidate_cost
-        else:
-            move.reject()
-        if trace is not None:
-            trace.append(IterationRecord(t, temperature, candidate_cost, accepted, best_cost))
+    t = width = 1
+    while t <= cfg.max_iterations:
+        temperatures = [t0 * cfg.cooling_factor ** s
+                        for s in range(t, min(t + width, cfg.max_iterations + 1))]
+        snapshot = rng.bit_generator.state
+        indices, values, uniforms = zip(*(
+            move.draw(rng) + (rng.random() if temperature > 0.0 else None,)
+            for temperature in temperatures))
+        stack = np.repeat(move.state[None], len(indices), axis=0)
+        stack[np.arange(len(indices)), indices] = values
+        costs = move.costs(stack).tolist()
+        for j, (temperature, candidate_cost) in enumerate(zip(temperatures, costs)):
+            delta = candidate_cost - move.cost
+            accepted = metropolis_accept(delta, temperature, _Drawn(uniforms[j]))
+            if accepted:
+                # Candidates before j were rejected, so each took its
+                # Metropolis draw when T > 0; candidate j took it if uphill.
+                rng.bit_generator.state = snapshot
+                for i in range(j + 1):
+                    move.draw(rng)
+                    if uniforms[i] is not None and (i < j or not delta < 0.0):
+                        rng.random()
+                move.settle(stack[j].copy(), candidate_cost)
+                if candidate_cost < best_cost:
+                    best, best_cost = move.state, candidate_cost
+            if trace is not None:
+                trace.append(IterationRecord(t, temperature, candidate_cost, accepted,
+                                             best_cost))
+            t += 1
+            if accepted:
+                break
+        width = 1 if accepted else min(2 * width, _MAX_WINDOW)
     return best, best_cost
 
 
@@ -306,9 +303,8 @@ def anneal_positions(scenario: Scenario, design: ArrayDesign, params: BaselinePa
     _check_optimizable(scenario, design)
     if design.num_antennas == 1:
         return design
-    move = _PositionMove(scenario, _initial_spacings(design, params), design.freq_shifts,
-                         design.f0, params)
-    best_d, _ = _anneal_loop(move, cfg, np.random.default_rng(cfg.seed), trace)
+    best_d, _ = _anneal_loop(_position_move(scenario, design, params), cfg,
+                             np.random.default_rng(cfg.seed), trace)
     positions = reconstruct_positions(best_d, params.aperture_half_width)
     return ArrayDesign(positions, design.f0, design.freq_shifts)
 
@@ -321,9 +317,8 @@ def anneal_freq_shifts(scenario: Scenario, design: ArrayDesign, params: Baseline
     first, so every state visited is feasible.
     """
     _check_optimizable(scenario, design)
-    move = _ShiftMove(scenario, design.positions, _boxed_shifts(design.freq_shifts, params),
-                      design.f0, params.freq_shift_bounds)
-    best_shifts, _ = _anneal_loop(move, cfg, np.random.default_rng(cfg.seed), trace)
+    best_shifts, _ = _anneal_loop(_shift_move(scenario, design, params), cfg,
+                                  np.random.default_rng(cfg.seed), trace)
     return ArrayDesign(design.positions, design.f0, best_shifts)
 
 

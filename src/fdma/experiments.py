@@ -230,6 +230,8 @@ def sweep_vs_num_eves(base_scenario: Scenario, k_values: list[int], m_values: li
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    if not k_values or min(k_values) < 0:
+        raise ValueError("k_values must be non-empty with no negative entry")
     k_max = max(k_values)
     if any(k_max >= m for m in m_values):
         raise ValueError("need fewer eavesdroppers than antennas")

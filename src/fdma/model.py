@@ -178,37 +178,21 @@ def beampattern(design: ArrayDesign, probe: Placement, bob: Placement,
                            steering_vector(design, bob, c)))
 
 
-# The gain kernel in four pieces.  _eta composes them; the annealer's shift
-# phase keeps their outputs and recomputes one element's column and entry
-# through the same pieces, so both paths do the same arithmetic on the same
-# values.  Each piece is elementwise in the element axis.
-
-def _probe_paths(ranges: np.ndarray, cosines: np.ndarray,
-                 positions: np.ndarray) -> np.ndarray:
-    "Path lengths R_k - x_m cos(theta_k): probes along axis 0, elements along axis 1."
-    return ranges[:, None] - cosines[:, None] * positions
-
-
-def _bob_path(bob: Placement, positions: np.ndarray) -> np.ndarray:
-    "Path lengths from the elements to the intended receiver."
-    return bob.range_m - positions * math.cos(bob.angle_rad)
-
-
-def _probe_phasors(paths: np.ndarray, f_over_c) -> np.ndarray:
-    "Conjugate steering entries exp(+2 pi j path f / c) at the probes."
-    return np.exp(2j * np.pi * (paths * f_over_c))
-
-
-def _bob_phasors(bob_path, f_over_c):
-    "Steering entries exp(-2 pi j f path / c) at the intended receiver."
-    return np.exp(-2j * np.pi * f_over_c * bob_path)
-
-
 def _eta(positions: np.ndarray, f_over_c: np.ndarray, ranges: np.ndarray,
          cosines: np.ndarray, bob: Placement) -> np.ndarray:
-    "Beampattern at probes (ranges, cosines) of elements at positions radiating f/c."
-    return (_probe_phasors(_probe_paths(ranges, cosines, positions), f_over_c)
-            @ _bob_phasors(_bob_path(bob, positions), f_over_c))
+    """Beampattern at probes (ranges, cosines) of elements at positions radiating f/c.
+
+    positions and f_over_c hold the element axis last and may carry leading
+    batch axes, which broadcast; the result holds those axes, then the probe
+    axis.  The conjugate probe entries exp(+2 pi j path f / c) meet the
+    receiver entries exp(-2 pi j f path / c) in one stacked matrix-vector
+    product, which gives each batch row the bits of its own unbatched call.
+    """
+    paths = ranges[:, None] - cosines[:, None] * positions[..., None, :]
+    probes = np.exp(2j * np.pi * (paths * f_over_c[..., None, :]))
+    receiver = np.exp(-2j * np.pi * f_over_c
+                      * (bob.range_m - positions * math.cos(bob.angle_rad)))
+    return np.matmul(probes, receiver[..., None])[..., 0]
 
 
 def beampattern_batch(design: ArrayDesign, ranges_m: np.ndarray,
@@ -226,7 +210,11 @@ def beampattern_batch(design: ArrayDesign, ranges_m: np.ndarray,
 
 def eve_gains(scenario: Scenario, positions: np.ndarray, shifts: np.ndarray,
               f0: float) -> np.ndarray:
-    "Beampattern power |eta_k|^2 at each eavesdropper, from raw design arrays."
+    """Beampattern power |eta_k|^2 at each eavesdropper, from raw design arrays.
+
+    positions and shifts may be stacks of designs (leading axes broadcast);
+    the eavesdropper axis comes last.
+    """
     f_over_c = (f0 + shifts) / scenario.speed_of_light
     return np.abs(_eta(positions, f_over_c, scenario.eve_ranges, scenario.eve_cosines,
                        scenario.bob)) ** 2

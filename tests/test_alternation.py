@@ -1,5 +1,6 @@
 """The block alternation shared by the annealer (OPT1) and the closed-form solver (OPT2)."""
 
+import dataclasses
 import hashlib
 import itertools
 
@@ -66,6 +67,40 @@ def test_alternation_bytes_pinned(link_cfg, bob):
                                    trace, phases)
         _digest_update(digest, "perturb/" + label, design, baseline, trace)
     assert digest.hexdigest() == ALTERNATION_DIGEST
+
+
+# One sha256 over alternate_sa designs and traces at the annealer's schedule
+# edges: a cooling that underflows T to 0, a degenerate shift box where every
+# candidate is accepted, no adversaries, two elements, a single iteration.
+# Taken before the annealer evaluated its candidates in windows.
+EDGE_SCHEDULE_DIGEST = "6a759dca7408aeae1911df43dc974c60ec60da14f8e640ff12a7613e76862428"
+EDGE_SCHEDULES = [
+    # (label, M, K, shift box or None for the default, AnnealerConfig keywords)
+    ("underflow", 6, 2, (-3e6, -1e6),
+     dict(cooling_factor=0.5, max_iterations=1500, max_rounds=2, relative_tolerance=1e-12)),
+    ("zero-box", 5, 1, (0.0, 0.0), dict(max_iterations=70, max_rounds=2)),
+    ("no-eves", 6, 0, None, dict(max_iterations=100, max_rounds=2)),
+    ("two-elements", 2, 1, None,
+     dict(initial_temperature=1e-3, max_iterations=90, max_rounds=2,
+          relative_tolerance=1e-12)),
+    ("one-iteration", 7, 3, None, dict(max_iterations=1, max_rounds=3,
+                                       relative_tolerance=1e-12)),
+]
+
+
+def test_edge_schedule_bytes_pinned(link_cfg, bob):
+    digest = hashlib.sha256()
+    for label, m, k, box, keywords in EDGE_SCHEDULES:
+        scenario = _scenario(link_cfg, bob, m, k)
+        params = default_baseline_params(m, F0, scenario.speed_of_light)
+        if box is not None:
+            params = dataclasses.replace(params, freq_shift_bounds=box)
+        init = random_design(np.random.default_rng(m + 10 * k), m)
+        trace: list = []
+        design = alternate_sa(scenario, init, params,
+                              AnnealerConfig(seed=m * 100 + k, **keywords), trace)
+        _digest_update(digest, label, design, init, trace)
+    assert digest.hexdigest() == EDGE_SCHEDULE_DIGEST
 
 
 def _run_sa(scenario, init, params, rounds, phases):

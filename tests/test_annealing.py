@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -58,42 +59,142 @@ class TestAnnealerAgreesWithCost:
             assert trace[-1].best_cost == cost(default_scenario, design), f"seed {seed}"
 
 
-class TestShiftMoveMatchesCost:
-    # The shift phase keeps the phasors of its current state and updates one
-    # column per candidate; after any sequence of proposals, accepts and
-    # rejects the cached state must cost exactly what cost() gives its design.
+SHIFT_BOXES = [(-10e6, 10e6), (0.0, 0.0), (-3e6, -1e6), (2e6, 2e6)]
+
+
+class TestBatchedCostMatchesCost:
+    # The annealer costs a window of candidates in one stacked kernel call;
+    # every row must cost exactly what cost() gives that row's design.
     @settings(derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), num_eves=st.integers(0, 6),
-           num_antennas=st.integers(2, 32),
-           box=st.sampled_from([(-10e6, 10e6), (0.0, 0.0), (-3e6, -1e6), (2e6, 2e6)]),
-           decisions=st.lists(st.booleans(), min_size=1, max_size=40))
-    def test_cached_state_cost_equals_cost(self, link_cfg, bob, seed, num_eves,
-                                           num_antennas, box, decisions):
+           num_antennas=st.integers(2, 32), rows=st.integers(1, 40),
+           stacked=st.sampled_from(["positions", "shifts", "both"]))
+    def test_every_row_equals_cost(self, link_cfg, bob, seed, num_eves, num_antennas,
+                                   rows, stacked):
+        rng = np.random.default_rng(seed)
+        eves = tuple(random_placement(rng, link_cfg) for _ in range(num_eves))
+        scenario = Scenario(bob, eves, tx_power_linear=10.0 ** 0.5)
+        designs = [random_design(rng, num_antennas) for _ in range(rows)]
+        positions = np.array([d.positions for d in designs])
+        shifts = np.array([d.freq_shifts for d in designs])
+        if stacked == "positions":
+            shifts = shifts[0]
+        elif stacked == "shifts":
+            positions = positions[0]
+        costs = annealing._raw_cost(scenario, positions, shifts, F0)
+        assert costs.shape == (rows,)
+        for i, row_cost in enumerate(costs.tolist()):
+            design = ArrayDesign(positions if positions.ndim == 1 else positions[i], F0,
+                                 shifts if shifts.ndim == 1 else shifts[i])
+            assert row_cost.hex() == cost(scenario, design).hex(), i
+
+    @settings(derandomize=True, max_examples=30)
+    @given(seed=st.integers(0, 2**32 - 1), num_antennas=st.integers(2, 32),
+           rows=st.integers(1, 40))
+    def test_stacked_reconstruction_equals_rows(self, seed, num_antennas, rows):
+        rng = np.random.default_rng(seed)
+        stack = rng.uniform(0.5, 2.0, size=(rows, num_antennas - 1))
+        positions = reconstruct_positions(stack, float(num_antennas))
+        for row, d in zip(positions, stack):
+            np.testing.assert_array_equal(row, reconstruct_positions(d, float(num_antennas)))
+
+    def test_stacked_reconstruction_checks_every_row(self):
+        with pytest.raises(InfeasibleSpacingError):
+            reconstruct_positions([[1.0, 1.0], [1.0, 1.0 + 1e-6]], 1.0)
+
+
+def serial_anneal(scenario, design, params, cfg, phase):
+    """Reference annealer: one candidate at a time, each costed by cost() on its design.
+
+    The loop the windowed annealer must reproduce bit for bit; returns the
+    best state, its cost, the trace and the generator's final state.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    half_width = params.aperture_half_width
+    if phase == "positions":
+        state, lo = spacings(design.positions), params.min_spacing
+
+        def upper(d, m):
+            return adaptive_max_spacing(d, m, half_width)
+
+        def design_of(d):
+            return ArrayDesign(reconstruct_positions(d, half_width), F0, design.freq_shifts)
+    else:
+        lo, hi = params.freq_shift_bounds
+        state = np.clip(design.freq_shifts, lo, hi)
+
+        def upper(_, __):
+            return hi
+
+        def design_of(shifts):
+            return ArrayDesign(design.positions, F0, shifts)
+    current = cost(scenario, design_of(state))
+    best, best_cost = state, current
+    t0 = cfg.initial_temperature
+    if t0 is None:
+        t0 = max(current, 1e-12)
+    trace = []
+    for t in range(1, cfg.max_iterations + 1):
+        temperature = t0 * cfg.cooling_factor ** t
+        m = int(rng.integers(state.size))
+        candidate = state.copy()
+        candidate[m] = lo + (upper(state, m) - lo) * rng.random()
+        candidate_cost = cost(scenario, design_of(candidate))
+        accepted = metropolis_accept(candidate_cost - current, temperature, rng)
+        if accepted:
+            state, current = candidate, candidate_cost
+            if current < best_cost:
+                best, best_cost = state, current
+        trace.append(annealing.IterationRecord(t, temperature, candidate_cost, accepted,
+                                               best_cost))
+    return best, best_cost, trace, rng.bit_generator.state
+
+
+class TestWindowedLoopMatchesSerial:
+    # Speculative windows must not change a single draw or bit: same best
+    # state and cost, same trace, same generator state as the serial loop.
+    @settings(derandomize=True, max_examples=80)
+    @given(seed=st.integers(0, 2**64 - 1), num_eves=st.integers(0, 6),
+           num_antennas=st.integers(2, 32), phase=st.sampled_from(["positions", "shifts"]),
+           box=st.sampled_from(SHIFT_BOXES),
+           initial_temperature=st.sampled_from([None, 1e-9, 1e-3, 10.0]),
+           schedule=st.sampled_from([(0.95, 97), (0.5, 1500), (0.9, 1), (0.99, 33),
+                                     (0.8, 64), (0.95, 250)]))
+    def test_same_chain_as_serial_loop(self, link_cfg, bob, seed, num_eves, num_antennas,
+                                       phase, box, initial_temperature, schedule):
         rng = np.random.default_rng(seed)
         eves = tuple(random_placement(rng, link_cfg) for _ in range(num_eves))
         scenario = Scenario(bob, eves, tx_power_linear=10.0 ** 0.5)
         design = random_design(rng, num_antennas)
-        move = annealing._ShiftMove(scenario, design.positions, design.freq_shifts, F0, box)
+        params = replace(default_baseline_params(num_antennas, F0, SPEED_OF_LIGHT),
+                         freq_shift_bounds=box)
+        cooling, iterations = schedule
+        cfg = AnnealerConfig(initial_temperature=initial_temperature,
+                             cooling_factor=cooling, max_iterations=iterations,
+                             seed=seed % 2**63)
+        best, best_cost, trace, final_state = serial_anneal(scenario, design, params,
+                                                            cfg, phase)
+        make_move = annealing._position_move if phase == "positions" else \
+            annealing._shift_move
+        windowed_rng = np.random.default_rng(cfg.seed)
+        windowed_trace = []
+        got, got_cost = annealing._anneal_loop(make_move(scenario, design, params), cfg,
+                                               windowed_rng, windowed_trace)
+        assert got.tobytes() == best.tobytes()
+        assert got_cost.hex() == best_cost.hex()
+        assert windowed_trace == trace
+        assert windowed_rng.bit_generator.state == final_state
 
-        def cost_of_state():
-            return cost(scenario, ArrayDesign(design.positions, F0, move.state()))
-
-        assert move.cost == move.evaluate() == cost_of_state()
-        for accept in decisions:
-            before = move.state()
-            candidate_cost = move.propose(rng)
-            if accept:
-                move.accept()
-                changed = np.flatnonzero(move.state() != before)
-                assert changed.size <= 1
-                assert np.all((move.state()[changed] >= box[0])
-                              & (move.state()[changed] <= box[1]))
-                assert move.cost == candidate_cost
-            else:
-                move.reject()
-                np.testing.assert_array_equal(move.state(), before)
-            assert move.evaluate() == cost_of_state()
-            assert move.cost == cost_of_state()
+    def test_frozen_schedule_is_reached(self, link_cfg, bob):
+        # The (0.5, 1500) schedule above drives T to exactly 0, where no
+        # Metropolis draw is taken.
+        scenario = small_scenario(link_cfg, bob, num_eves=2)
+        params = default_baseline_params(6, F0, SPEED_OF_LIGHT)
+        trace = []
+        anneal_freq_shifts(scenario, make_linear_fda(6, params, F0), params,
+                           AnnealerConfig(cooling_factor=0.5, max_iterations=1500, seed=1),
+                           trace)
+        assert trace[-1].temperature == 0.0 and trace[0].temperature > 0.0
 
 
 UNIFORM_BOUNDS = st.one_of(
@@ -255,17 +356,31 @@ class TestAnnealPositions:
         trace = []
         anneal_positions(scenario, init, params,
                          AnnealerConfig(max_iterations=250, seed=12), trace=trace)
-        # evaluations[0] is the initial state, the rest are the candidates
+        # evaluations[0] is the initial state; each later call costs one window
+        # of candidates drawn from one state.  The loop scans a window's rows in
+        # order up to its first acceptance; the rows after it are speculative
+        # and discarded, but were drawn from the same state.
         state = spacings(evaluations[0])
-        assert len(evaluations) == 251
-        for positions, rec in zip(evaluations[1:], trace):
-            candidate = spacings(positions)
-            assert np.all(candidate >= params.min_spacing - 1e-12)
-            assert candidate.sum() <= 2 * params.aperture_half_width + 1e-9
-            changed = np.abs(candidate - state) > 1e-15
-            assert changed.sum() == 1
-            if rec.accepted:
-                state = candidate
+        records = iter(trace)
+        scanned = discarded = 0
+        for window in evaluations[1:]:
+            assert window.ndim == 2
+            next_state, live = state, True
+            for positions in window:
+                candidate = spacings(positions)
+                assert np.all(candidate >= params.min_spacing - 1e-12)
+                assert candidate.sum() <= 2 * params.aperture_half_width + 1e-9
+                changed = np.abs(candidate - state) > 1e-15
+                assert changed.sum() == 1
+                if not live:
+                    discarded += 1
+                    continue
+                scanned += 1
+                if next(records).accepted:
+                    next_state, live = candidate, False
+            state = next_state
+        assert scanned == 250 and next(records, None) is None
+        assert discarded > 0
 
     def test_deterministic(self, link_cfg, bob):
         scenario = small_scenario(link_cfg, bob)
@@ -290,6 +405,27 @@ class TestAnnealFreqShifts:
                                     AnnealerConfig(max_iterations=100, seed=2))
         assert np.all(result.freq_shifts == 0.0)
         assert cost(scenario, result) == cost(scenario, init)
+
+    def test_accepting_chain_costs_each_candidate_once(self, link_cfg, bob, monkeypatch):
+        # In a (0, 0) box every candidate repeats the state, so dJ = 0 and every
+        # candidate is accepted: each window holds one candidate and no costed
+        # candidate is dropped.
+        scenario = small_scenario(link_cfg, bob, num_eves=2)
+        params = replace(default_baseline_params(6, F0, SPEED_OF_LIGHT),
+                         freq_shift_bounds=(0.0, 0.0))
+        rows = []
+        real_gains = annealing.eve_gains
+
+        def spy(scn, positions, shifts, f0):
+            rows.append(np.shape(shifts)[:-1])
+            return real_gains(scn, positions, shifts, f0)
+
+        monkeypatch.setattr(annealing, "eve_gains", spy)
+        trace = []
+        anneal_freq_shifts(scenario, make_linear_fda(6, params, F0), params,
+                           AnnealerConfig(max_iterations=200, seed=3), trace)
+        assert len(trace) == 200 and all(rec.accepted for rec in trace)
+        assert rows == [()] + [(1,)] * 200
 
     def test_shifts_cut_cost_for_range_displaced_eve(self, link_cfg, bob):
         # One adversary on Bob's bearing but at a different range: positions

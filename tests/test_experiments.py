@@ -215,6 +215,13 @@ class TestSweepVsNumEves:
         assert len(alone) == 6
         assert [r for r in both if r.configuration is ConfigurationKind.FDMA_OPT2] == alone
 
+    @pytest.mark.parametrize("k_values", [[], [-1, 3], [2, -1]])
+    def test_rejects_empty_or_negative_counts(self, base_scenario, link_mod, k_values):
+        with pytest.raises(ValueError, match="k_values"):
+            sweep_vs_num_eves(base_scenario, k_values, [9], (ConfigurationKind.CPA,),
+                              link_mod, F0, FAST_SA, PerturbConfig(), master_seed=0,
+                              trials=1, baseline_params=default_grid)
+
     def test_mean_rates_aggregation(self):
         recs = [
             # sweep_value, configuration, rate, seed, trial
