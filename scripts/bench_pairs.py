@@ -20,8 +20,11 @@ how many pairs the change wins (ties count for neither side), the relative
 change of the median, the parent's interquartile range and whether the
 change's median is worse than the parent's by more than the bound.  With
 --claim WORKLOAD:METRIC it also states whether that gain is shown: the
-change wins at least nine tenths of the pairs and the medians differ, in
-the better direction, by more than the parent's interquartile range.
+change wins at least nine tenths of the pairs, the medians differ, in the
+better direction, by more than the parent's interquartile range, and the
+change's share of failed operations on that workload is no larger than the
+parent's.  Each side's failed/attempted count is printed next to the
+medians.
 --count-seed S adds one `--trace 1 --seconds 0` run per side and workload on
 seed S, whose per-command-set counts must repeat exactly across sides.
 """
@@ -146,14 +149,23 @@ def summarize(runs: list[dict], spec: dict) -> dict:
     return summary
 
 
+def failed_share(entry: dict, side: str) -> float:
+    "Failed over attempted operations of one side; a run with no result counts as failed."
+    return entry["failed"][side] / max(entry["attempted"][side], 1)
+
+
 def claim_verdict(summary: dict, workload: str, metric: str) -> dict:
-    stats = summary[workload][metric]
+    entry = summary[workload]
+    stats = entry[metric]
     sign = 1.0 if stats["better"] == "lower" else -1.0
     gap = sign * (stats["parent"]["median"] - stats["change"]["median"])
-    met = stats["change_wins"] >= 0.9 * stats["pairs"] and gap > stats["parent_iqr"]
+    more_failures = failed_share(entry, "change") > failed_share(entry, "parent")
+    met = (stats["change_wins"] >= 0.9 * stats["pairs"] and gap > stats["parent_iqr"]
+           and not more_failures)
     return {"workload": workload, "metric": metric, "change_wins": stats["change_wins"],
             "pairs": stats["pairs"], "median_gap": gap, "parent_iqr": stats["parent_iqr"],
-            "met": bool(met)}
+            "failed": entry["failed"], "attempted": entry["attempted"],
+            "more_failures": more_failures, "met": bool(met)}
 
 
 def main(argv=None) -> int:
@@ -240,11 +252,14 @@ def main(argv=None) -> int:
         }
     args.out.write_text(json.dumps(document, indent=1) + "\n")
     for workload, entry in summary.items():
+        failed = "  failed " + " -> ".join(
+            f"{entry['failed'][side]}/{entry['attempted'][side]}" for side in SIDES)
         for name, stats in entry.items():
             if isinstance(stats.get("parent"), dict) and "median" in stats["parent"]:
                 print(f"{workload:7s} {name:12s} {stats['parent']['median']:12.6g} -> "
                       f"{stats['change']['median']:12.6g}  wins {stats['change_wins']}/"
-                      f"{stats['pairs']}  worse_than_bound {stats['worse_than_bound']}")
+                      f"{stats['pairs']}  worse_than_bound {stats['worse_than_bound']}"
+                      f"{failed}")
     if "claim" in document:
         print("claim:", json.dumps(document["claim"]))
     return 0

@@ -8,12 +8,13 @@ iteration from a uniform proposal; worse moves are accepted with
 probability exp(-dJ / T) under a geometric cooling schedule T_t = alpha^t T0.
 The best state ever visited is returned.
 
-One loop drives both phases.  It draws a window of candidates from the
-current state and costs them in one batched gain-kernel call; each
-candidate's cost is the floating-point computation cost() does on its
-design, bit for bit.  Draws made past the window's first acceptance are
-rewound, so every chain, trace and generator state is the one a loop that
-draws and costs one candidate at a time would produce.
+One loop drives both phases.  It decodes a window of candidates from the
+generator's raw words, costs them in one batched gain-kernel call and
+scans them in order; each candidate's cost is the floating-point
+computation cost() does on its design, bit for bit.  Only the words of the
+candidates up to the window's first acceptance count as used, so every
+chain, trace and generator state is the one a loop that draws and costs one
+candidate at a time would produce.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, replace
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -32,6 +34,9 @@ logger = logging.getLogger("fdma.annealing")
 
 _SPAN_SLACK = 1e-9  # relative tolerance on the aperture constraint
 _MAX_WINDOW = 32  # most candidates drawn from one state and costed in one kernel call
+_CHUNK_WORDS = 4096  # raw generator words drawn at a time
+_UNIT = 2.0 ** -53  # random() is (word >> 11) * 2**-53
+_LOW_HALF = 0xFFFFFFFF
 
 
 class InfeasibleSpacingError(ValueError):
@@ -151,15 +156,6 @@ def metropolis_accept(delta_cost: float, temperature: float,
     return math.exp(-delta_cost / temperature) >= rng.random()
 
 
-class _Drawn(NamedTuple):
-    "Stands in for the generator in metropolis_accept with a draw already taken."
-
-    value: float
-
-    def random(self) -> float:
-        return self.value
-
-
 def _check_optimizable(scenario: Scenario, design: ArrayDesign) -> None:
     if scenario.num_eves >= design.num_antennas:
         raise ValueError("need fewer eavesdroppers than antennas")
@@ -187,13 +183,134 @@ def _initial_spacings(design: ArrayDesign, params: BaselineParams) -> np.ndarray
     return d
 
 
-def _uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
-    """rng.uniform(lo, hi) for scalar bounds, at a fraction of its call overhead.
+# The annealer's draws, decoded in bulk from the generator's raw PCG64 words.
+# A candidate's draws are rng.integers(n) for its index, rng.random() for its
+# value and, when T > 0 and it is not accepted downhill, rng.random() for its
+# Metropolis test.  numpy computes random() as (word >> 11) * 2**-53 from one
+# word.  integers(n) takes 32 bits: the half-word PCG64 buffered from its
+# last fresh word if there is one (has_uint32), else the low half of a fresh
+# word, whose high half it buffers (uinteger; using the buffer clears
+# has_uint32 and leaves uinteger as it was).  It maps them to (x * n) >> 32
+# and rejects x, taking 32 more bits, when the low 32 bits of x * n fall
+# below (2**32 - n) % n (Lemire 2019); n == 1 takes no bits.
+class _RawDraws:
+    """Draws of annealing candidates from raw words, with the generator's buffer tracked.
 
-    numpy computes uniform as lo + (hi - lo) * next_double, so this gives the
-    same value and leaves the generator in the same state.
+    Words come from the generator in chunks through random_raw.  The decoder
+    counts the words its candidates use, and sync() sets the generator to
+    its state at the start plus those words, with the tracked half-word
+    buffer: where the serial calls would have left it.
     """
-    return lo + (hi - lo) * rng.random()
+
+    __slots__ = ("rng", "n", "threshold", "base", "has_uint32", "uinteger", "used",
+                 "words", "pos", "_layouts", "_last")
+
+    def __init__(self, rng: np.random.Generator, n: int):
+        self.rng, self.n, self.threshold = rng, n, (2**32 - n) % n
+        self._layouts = {}
+        self._restart()
+
+    def _restart(self) -> None:
+        "Count words from the generator's current state."
+        self.base = state = self.rng.bit_generator.state
+        self.has_uint32, self.uinteger = state["has_uint32"], state["uinteger"]
+        self.used = self.pos = 0
+        self.words = np.empty(0, dtype=np.uint64)  # words[pos:] are drawn and unused
+
+    def _peek(self, count: int) -> np.ndarray:
+        if self.pos + count > self.words.size:
+            self.words = np.concatenate((self.words[self.pos:],
+                                         self.rng.bit_generator.random_raw(_CHUNK_WORDS)))
+            self.pos = 0
+        return self.words[self.pos:self.pos + count]
+
+    def _layout(self, hot: tuple, indexed: bool) -> tuple:
+        # Where a window's draws sit among its words, from the current buffer
+        # state: (words to read, the value words and then the Metropolis
+        # words of all candidates, the word and the shift of each index half,
+        # and per candidate j: words used through j with its Metropolis word,
+        # hot, whether its index takes a fresh word, and its first word).  One
+        # more word is read so that a last candidate that is not hot still
+        # has a Metropolis position.
+        key = (indexed, self.has_uint32, hot)
+        layout = self._layouts.get(key)
+        if layout is None:
+            w = len(hot)
+            fresh = ((np.arange(w) + self.has_uint32) % 2 == 0) & indexed
+            counts = 1 + fresh + np.array(hot, dtype=bool)
+            ends = counts.cumsum()
+            starts = ends - counts
+            values_at = starts + fresh
+            # A buffered index takes the high half of the previous candidate's
+            # fresh word; a buffered first candidate takes uinteger instead.
+            halves_at = np.where(fresh, starts, np.concatenate(([0], starts[:-1])))
+            layout = self._layouts[key] = (
+                int(ends[-1]) + 1, np.concatenate((values_at, values_at + 1)), halves_at,
+                np.where(fresh, 0, 32).astype(np.uint64), ends.tolist(), hot,
+                fresh.tolist(), starts.tolist())
+        return layout
+
+    def window(self, hot: tuple,
+               indexed: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Indices, value fractions and Metropolis uniforms of a window of candidates.
+
+        Candidate j is drawn as if every candidate before it was rejected,
+        taking its Metropolis draw where hot[j] (T > 0).  Returns fewer than
+        len(hot) candidates when a later index needs a Lemire rejection; a
+        window that starts with one draws that index with the generator
+        itself, so every window holds at least one candidate.  Candidates
+        that are not indexed take no index bits and get index 0.
+        """
+        indexed = indexed and self.n > 1
+        layout = self._layout(hot, indexed)
+        size, draws_at, halves_at, shifts = layout[:4]
+        words = self._peek(size)
+        draws = (words[draws_at] >> 11) * _UNIT
+        w = len(hot)
+        fractions, uniforms = draws[:w], draws[w:]
+        if not indexed:
+            self._last = (layout, words, None)
+            return np.zeros(w, dtype=np.intp), fractions, uniforms
+        halves = (words[halves_at] >> shifts) & _LOW_HALF
+        if self.has_uint32:
+            halves[0] = self.uinteger
+        scaled = halves * self.n
+        self._last = (layout, words, halves)
+        leftover = scaled & _LOW_HALF
+        if leftover.min() < self.threshold:
+            w = int(np.argmax(leftover < self.threshold))
+            if not w:
+                self.sync()
+                index = self.rng.integers(self.n)
+                self._restart()
+                _, fractions, uniforms = self.window(hot[:1], indexed=False)
+                return np.full(1, index), fractions, uniforms
+        return (scaled >> 32)[:w], fractions[:w], uniforms[:w]
+
+    def use(self, j: int, metropolis: bool) -> None:
+        """Count the words of candidates 0..j of the last window as used.
+
+        Every candidate before j took its Metropolis draw where hot; j took it
+        where hot and metropolis (it was not accepted downhill).
+        """
+        (_, _, _, _, ends, hot, fresh, starts), words, halves = self._last
+        used = ends[j] - (hot[j] and not metropolis)
+        self.used += used
+        self.pos += used
+        if halves is not None:
+            if fresh[j]:
+                self.has_uint32, self.uinteger = 1, int(words[starts[j]]) >> 32
+            else:
+                self.has_uint32, self.uinteger = 0, int(halves[j])
+
+    def sync(self) -> None:
+        "Set the generator to the state the used draws leave it in."
+        bit_generator = self.rng.bit_generator
+        bit_generator.state = self.base
+        bit_generator.advance(self.used)
+        state = bit_generator.state
+        state["has_uint32"], state["uinteger"] = self.has_uint32, self.uinteger
+        bit_generator.state = state
 
 
 class _BlockMove:
@@ -212,11 +329,7 @@ class _BlockMove:
         self.settle(state, float(costs(state)))
 
     def settle(self, state: np.ndarray, cost: float) -> None:
-        self.state, self.cost, self.upper = state, cost, self._upper_of(state).tolist()
-
-    def draw(self, rng: np.random.Generator) -> tuple[int, float]:
-        index = int(rng.integers(self.state.size))
-        return index, _uniform(rng, self.lo, self.upper[index])
+        self.state, self.cost, self.upper = state, cost, self._upper_of(state)
 
 
 def _position_move(scenario: Scenario, design: ArrayDesign,
@@ -243,53 +356,59 @@ def _anneal_loop(move: _BlockMove, cfg: AnnealerConfig, rng: np.random.Generator
                  trace: list | None) -> tuple[np.ndarray, float]:
     """Single-coordinate annealing of move's block; returns the best visited state.
 
-    Works in windows: from the current state it draws a window of
-    candidates, each with the draws a one-at-a-time loop makes while it
-    rejects (index, value, then the Metropolis draw when T > 0), costs them
-    in one call, and scans them in order.  Only an acceptance can break that
-    draw pattern, since a downhill move takes no Metropolis draw, and it
-    ends the window anyway: the generator is rewound to the window's start,
-    the draws of the candidates up to the accepted one are replayed, and
-    the rest of the window is dropped.  A window holds one candidate after
-    an acceptance and doubles, up to _MAX_WINDOW, after each window without
-    one, so a chain that accepts often drops little costed work.
+    Works in windows: from the current state it decodes a window of
+    candidates from the generator's raw words, each with the draws a
+    one-at-a-time loop makes while it rejects (index, value, then the
+    Metropolis draw when T > 0), costs them in one call, and scans them in
+    order.  Only an acceptance can break that draw pattern, since a downhill
+    move takes no Metropolis draw, and it ends the window: the words of the
+    candidates up to the accepted one count as used and the rest of the
+    window is dropped.  A window holds one candidate after an acceptance and
+    doubles, up to _MAX_WINDOW, after each window without one, so a chain
+    that accepts often drops little costed work.
     """
     best, best_cost = move.state, move.cost
     t0 = cfg.initial_temperature
     if t0 is None:
         t0 = max(move.cost, 1e-12)
+    draws = _RawDraws(rng, move.state.size)
     t = width = 1
     while t <= cfg.max_iterations:
         temperatures = [t0 * cfg.cooling_factor ** s
                         for s in range(t, min(t + width, cfg.max_iterations + 1))]
-        snapshot = rng.bit_generator.state
-        indices, values, uniforms = zip(*(
-            move.draw(rng) + (rng.random() if temperature > 0.0 else None,)
-            for temperature in temperatures))
-        stack = np.repeat(move.state[None], len(indices), axis=0)
-        stack[np.arange(len(indices)), indices] = values
+        indices, fractions, uniforms = draws.window(
+            tuple(temperature > 0.0 for temperature in temperatures))
+        w = indices.size
+        stack = np.repeat(move.state[None], w, axis=0)
+        stack[np.arange(w), indices] = move.lo + (move.upper[indices] - move.lo) * fractions
         costs = move.costs(stack).tolist()
-        for j, (temperature, candidate_cost) in enumerate(zip(temperatures, costs)):
-            delta = candidate_cost - move.cost
-            accepted = metropolis_accept(delta, temperature, _Drawn(uniforms[j]))
-            if accepted:
-                # Candidates before j were rejected, so each took its
-                # Metropolis draw when T > 0; candidate j took it if uphill.
-                rng.bit_generator.state = snapshot
-                for i in range(j + 1):
-                    move.draw(rng)
-                    if uniforms[i] is not None and (i < j or not delta < 0.0):
-                        rng.random()
-                move.settle(stack[j].copy(), candidate_cost)
-                if candidate_cost < best_cost:
-                    best, best_cost = move.state, candidate_cost
-            if trace is not None:
-                trace.append(IterationRecord(t, temperature, candidate_cost, accepted,
-                                             best_cost))
-            t += 1
-            if accepted:
+        uniforms = uniforms.tolist()
+        current, accepted = move.cost, False
+        for j in range(w):
+            delta = costs[j] - current
+            temperature = temperatures[j]
+            # metropolis_accept on the pre-drawn uniform.
+            if delta < 0.0 or (temperature > 0.0
+                               and math.exp(-delta / temperature) >= uniforms[j]):
+                accepted = True
                 break
+        draws.use(j, not delta < 0.0)
+        if trace is not None:
+            # The rejected rows, built as IterationRecord._make does but
+            # without a Python frame per row.
+            trace.extend(map(tuple.__new__, repeat(IterationRecord),
+                             zip(range(t, t + j), temperatures, costs, repeat(False),
+                                 repeat(best_cost))))
+        if accepted:
+            move.settle(stack[j].copy(), costs[j])
+            if costs[j] < best_cost:
+                best, best_cost = move.state, costs[j]
+        if trace is not None:
+            trace.append(IterationRecord(t + j, temperatures[j], costs[j], accepted,
+                                         best_cost))
+        t += j + 1
         width = 1 if accepted else min(2 * width, _MAX_WINDOW)
+    draws.sync()
     return best, best_cost
 
 

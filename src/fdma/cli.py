@@ -131,11 +131,17 @@ def _write_manifest(out_dir: Path, experiment_id: str, cfg: RunConfig,
 
 
 def _environment() -> dict:
-    "Interpreter and library versions, and the CPUs this process may run on."
+    """Interpreter and library versions, and the CPUs this process may run on.
+
+    The BLAS build numpy links sets the last bits of its stacked products,
+    and so of every optimizer result.
+    """
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
         "cpu_count": len(os.sched_getaffinity(0)),
     }
 

@@ -103,13 +103,45 @@ class TestBatchedCostMatchesCost:
             reconstruct_positions([[1.0, 1.0], [1.0, 1.0 + 1e-6]], 1.0)
 
 
-def serial_anneal(scenario, design, params, cfg, phase):
+def generator_at(state):
+    "A numpy Generator whose PCG64 bit generator is in state."
+    rng = np.random.default_rng()
+    rng.bit_generator.state = state
+    return rng
+
+
+PCG64_MULTIPLIER = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def state_emitting(state, word, ahead):
+    """state with its 128-bit LCG moved so that its (ahead + 1)-th raw word is word.
+
+    PCG64 steps s -> s * multiplier + inc (mod 2**128), then emits
+    rotr64(high ^ low, s >> 122) of the new s.  So a stepped state with any
+    high half and low half high ^ rotl64(word, rotation) emits word; stepping
+    that back ahead + 1 times gives the state to start from.
+    """
+    inc = state["state"]["inc"]
+    high = state["state"]["state"] >> 64
+    rotation = high >> 58
+    low = high ^ (((word << rotation) | (word >> (64 - rotation))) & (2**64 - 1))
+    lcg = (high << 64) | low
+    inverse = pow(PCG64_MULTIPLIER, -1, 2**128)
+    for _ in range(ahead + 1):
+        lcg = (lcg - inc) * inverse % 2**128
+    crafted = {**state, "state": {"state": lcg, "inc": inc}}
+    assert int(generator_at(crafted).bit_generator.random_raw(ahead + 1)[-1]) == word
+    return crafted
+
+
+def serial_anneal(scenario, design, params, cfg, phase, rng_state=None):
     """Reference annealer: one candidate at a time, each costed by cost() on its design.
 
     The loop the windowed annealer must reproduce bit for bit; returns the
-    best state, its cost, the trace and the generator's final state.
+    best state, its cost, the trace and the generator's final state.  The
+    generator starts from default_rng(cfg.seed), or from rng_state when given.
     """
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(cfg.seed) if rng_state is None else generator_at(rng_state)
     half_width = params.aperture_half_width
     if phase == "positions":
         state, lo = spacings(design.positions), params.min_spacing
@@ -197,35 +229,170 @@ class TestWindowedLoopMatchesSerial:
         assert trace[-1].temperature == 0.0 and trace[0].temperature > 0.0
 
 
-UNIFORM_BOUNDS = st.one_of(
-    st.sampled_from([(-10e6, 10e6), (0.0, 0.0), (-3e6, -1e6), (0.0, 1.0),
-                     (0.005, 0.2), (-1.0, -1.0)]),
-    st.floats(-1e12, 1e12).map(lambda lo: (lo, lo)),
-    st.tuples(st.floats(-1e12, 1e12), st.floats(0.0, 1e12)).map(
-        lambda pair: (pair[0], pair[0] + pair[1])),
-)
+class TestWindowedLoopEdgesOfTheDrawStream:
+    # The windowed loop against the serial loop from chosen generator states,
+    # at the edges of how integers(n) takes its bits: same best state and
+    # cost, same trace, same final generator state.
+    def assert_same_chain(self, link_cfg, bob, num_antennas, phase, state, iterations=300,
+                          cooling=0.95):
+        scenario = small_scenario(link_cfg, bob, num_eves=2)
+        params = default_baseline_params(num_antennas, F0, SPEED_OF_LIGHT)
+        design = make_linear_fda(num_antennas, params, F0)
+        cfg = AnnealerConfig(cooling_factor=cooling, max_iterations=iterations)
+        best, best_cost, trace, final_state = serial_anneal(scenario, design, params, cfg,
+                                                            phase, state)
+        make_move = annealing._position_move if phase == "positions" else \
+            annealing._shift_move
+        rng = generator_at(state)
+        windowed_trace = []
+        got, got_cost = annealing._anneal_loop(make_move(scenario, design, params), cfg, rng,
+                                               windowed_trace)
+        assert got.tobytes() == best.tobytes()
+        assert got_cost.hex() == best_cost.hex()
+        assert windowed_trace == trace
+        assert rng.bit_generator.state == final_state
+        return final_state
+
+    @staticmethod
+    def buffered(seed, uinteger):
+        state = np.random.default_rng(seed).bit_generator.state
+        return {**state, "has_uint32": 1, "uinteger": uinteger}
+
+    # n = 20 coordinates: the shifts of M = 20 elements, the spacings of M = 21.
+    @pytest.mark.parametrize("num_antennas, phase", [(20, "shifts"), (21, "positions")])
+    def test_buffered_zero_half_is_rejected(self, link_cfg, bob, num_antennas, phase):
+        # x = 0 leaves 0 * 20 = 0 below the threshold (2**32 - 20) % 20 = 16,
+        # so the chain's first index takes 32 more bits.
+        self.assert_same_chain(link_cfg, bob, num_antennas, phase, self.buffered(5, 0))
+
+    @pytest.mark.parametrize("num_antennas, phase", [(20, "shifts"), (21, "positions")])
+    def test_near_miss_is_not_rejected(self, link_cfg, bob, num_antennas, phase):
+        # x * 20 leaves exactly the threshold 16, which numpy accepts.
+        assert (3006477108 * 20) % 2**32 == (2**32 - 20) % 20
+        self.assert_same_chain(link_cfg, bob, num_antennas, phase,
+                               self.buffered(6, 3006477108))
+
+    @pytest.mark.parametrize("ahead", range(12))
+    def test_fresh_zero_half_is_rejected(self, link_cfg, bob, ahead):
+        # A fresh word with a zero low half, early in the chain, where it ends
+        # up as an index word inside some window.
+        state = state_emitting(np.random.default_rng(7).bit_generator.state, 0x9E3779B9 << 32,
+                               ahead)
+        self.assert_same_chain(link_cfg, bob, 20, "shifts", state)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("num_antennas, phase", [(2, "shifts"), (7, "positions"),
+                                                     (16, "shifts")])
+    def test_start_with_a_buffered_half(self, link_cfg, bob, seed, num_antennas, phase):
+        uinteger = int(np.random.default_rng(seed).integers(2**32))
+        self.assert_same_chain(link_cfg, bob, num_antennas, phase,
+                               self.buffered(seed, uinteger))
+
+    def test_single_spacing_takes_no_index_bits(self, link_cfg, bob):
+        # M = 2 has one spacing: integers(1) takes no bits, so the buffered
+        # half the chain starts with is still there at its end.
+        final = self.assert_same_chain(link_cfg, bob, 2, "positions",
+                                       self.buffered(8, 123456789))
+        assert (final["has_uint32"], final["uinteger"]) == (1, 123456789)
+
+    def test_chain_ending_on_a_buffered_index(self, link_cfg, bob):
+        # Two candidates from an empty buffer: the second index uses the half
+        # the first one buffered, which leaves has_uint32 = 0 and a stale
+        # uinteger in the final state.
+        state = np.random.default_rng(9).bit_generator.state
+        first_word = int(generator_at(state).bit_generator.random_raw())
+        final = self.assert_same_chain(link_cfg, bob, 6, "shifts", state, iterations=2)
+        assert (final["has_uint32"], final["uinteger"]) == (0, first_word >> 32)
+
+    def test_chain_longer_than_a_chunk_of_words(self, link_cfg, bob):
+        # Every candidate takes at least two words.
+        self.assert_same_chain(link_cfg, bob, 4, "shifts",
+                               np.random.default_rng(10).bit_generator.state,
+                               iterations=annealing._CHUNK_WORDS, cooling=0.999)
+
+
+def assert_windows_match_numpy(state, n, hot, accepted):
+    """Decode the draws of len(hot) candidates window by window, as the loop does.
+
+    hot[c] says whether candidate c takes a Metropolis draw when not accepted
+    downhill; accepted maps the accepted candidates to whether they were
+    downhill.  Every decoded value must equal numpy's own interleaved
+    integers(n) / random() calls, and the synced generator numpy's final
+    state.  Returns the length of each window.
+    """
+    reference, fast = generator_at(state), generator_at(state)
+    draws = annealing._RawDraws(fast, n)
+    done, width, lengths = 0, 1, []
+    while done < len(hot):
+        window = tuple(hot[done:done + width])
+        indices, fractions, uniforms = draws.window(window)
+        assert 1 <= indices.size <= len(window)
+        for j in range(indices.size):
+            assert int(reference.integers(n)) == int(indices[j])
+            assert reference.random().hex() == float(fractions[j]).hex()
+            downhill = accepted.get(done + j)
+            if window[j] and not downhill:
+                assert reference.random().hex() == float(uniforms[j]).hex()
+            if downhill is not None:
+                break
+        draws.use(j, not downhill)
+        lengths.append(indices.size)
+        done += j + 1
+        width = 1 if downhill is not None else min(2 * width, annealing._MAX_WINDOW)
+    draws.sync()
+    assert fast.bit_generator.state == reference.bit_generator.state
+    return lengths
 
 
 class TestDrawStream:
-    # The annealer draws lo + (hi - lo) * random() where it used to call
-    # uniform(lo, hi); numpy computes uniform the same way, so the values and
-    # the generator state match after every draw.  A numpy release that
-    # changes this would change every annealing result, so it fails here.
-    @settings(derandomize=True)
-    @given(seed=st.integers(0, 2**64 - 1),
-           draws=st.lists(st.tuples(st.integers(1, 40), UNIFORM_BOUNDS),
-                          min_size=1, max_size=30))
-    def test_scaled_random_equals_uniform(self, seed, draws):
-        reference = np.random.default_rng(seed)
-        fast = np.random.default_rng(seed)
-        for n, (lo, hi) in draws:
-            assert reference.integers(n) == fast.integers(n)
-            assert reference.bit_generator.state == fast.bit_generator.state
-            expected = reference.uniform(lo, hi)
-            assert annealing._uniform(fast, lo, hi).hex() == expected.hex()
-            assert reference.bit_generator.state == fast.bit_generator.state
-            assert fast.random().hex() == reference.uniform(0.0, 1.0).hex()
-            assert reference.bit_generator.state == fast.bit_generator.state
+    # The annealer decodes its draws from the generator's raw words.  The
+    # decoded values and the generator's final state must be those of
+    # numpy's own calls, so a numpy release that changes PCG64's half-word
+    # buffer or the bounded-integer method fails here rather than silently
+    # changing every annealing chain.
+    @settings(derandomize=True, max_examples=300)
+    @given(seed=st.integers(0, 2**64 - 1), n=st.integers(1, 40),
+           hot=st.lists(st.booleans(), min_size=1, max_size=100),
+           buffer=st.tuples(st.sampled_from([0, 1]),
+                            st.sampled_from([0, 3006477108]) | st.integers(0, 2**32 - 1)),
+           accepted=st.dictionaries(st.integers(0, 99), st.booleans(), max_size=8),
+           zero_low_half_at=st.none() | st.integers(0, 30))
+    def test_windows_reproduce_numpy_draws(self, seed, n, hot, buffer, accepted,
+                                           zero_low_half_at):
+        state = np.random.default_rng(seed).bit_generator.state
+        state["has_uint32"], state["uinteger"] = buffer
+        if zero_low_half_at is not None:
+            # A fresh index word with a zero low half is rejected whenever
+            # (2**32 - n) % n > 0.
+            state = state_emitting(state, (seed % 2**32) << 32, zero_low_half_at)
+        assert_windows_match_numpy(state, n, hot, accepted)
+
+    def test_rejected_index_inside_a_window(self):
+        # From an empty buffer, with every candidate hot, candidate 0 takes
+        # words 0-2 and candidate 1 its buffered half and words 3-4, so
+        # candidate 2's index is the low half of word 5.  Zero there is
+        # rejected at n = 20: the second window, of two candidates, stops
+        # before it, and the third, of four, draws that index with the
+        # generator itself and holds that candidate alone.
+        state = state_emitting(np.random.default_rng(11).bit_generator.state, 7 << 32, 5)
+        lengths = assert_windows_match_numpy(state, 20, [True] * 40, {})
+        assert lengths[:4] == [1, 1, 1, 8]
+
+    def test_near_miss_inside_a_window(self):
+        # As above, with x = 3006477108 in place of 0: x * 20 leaves exactly
+        # the threshold 16 in its low 32 bits, which is not a rejection, so
+        # the second window keeps both its candidates.
+        state = state_emitting(np.random.default_rng(13).bit_generator.state,
+                               (7 << 32) | 3006477108, 5)
+        assert assert_windows_match_numpy(state, 20, [True] * 10, {}) == [1, 2, 4, 3]
+
+    def test_rejected_buffered_half_at_a_window_start(self):
+        state = {**np.random.default_rng(12).bit_generator.state, "has_uint32": 1,
+                 "uinteger": 0}
+        lengths = assert_windows_match_numpy(state, 20, [True] * 10, {})
+        assert lengths[0] == 1
+        draws = annealing._RawDraws(generator_at(state), 20)
+        assert draws.window((True,) * 4)[0].size == 1
 
 
 class TestScheduleSummary:

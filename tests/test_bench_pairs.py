@@ -1,0 +1,44 @@
+import importlib.util
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
+spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+SPEC = {"end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.24}]}
+
+
+def runs(failed_change, pairs=10):
+    "Pairs in which the change is 30% faster and fails failed_change operations in all."
+    out = []
+    for pair in range(pairs):
+        for side, wall in (("parent", 1.0 + 0.01 * pair), ("change", 0.7 + 0.01 * pair)):
+            failed = int(side == "change" and pair < failed_change)
+            out.append({"workload": "anneal", "pair": pair, "side": side,
+                        "result": {"attempted": 20, "failed": failed,
+                                   "metrics": {"wall_s": {"value": wall}}}})
+    return out
+
+
+class TestClaimVerdict:
+    def test_faster_change_meets_the_claim(self):
+        verdict = bench_pairs.claim_verdict(bench_pairs.summarize(runs(0), SPEC),
+                                            "anneal", "wall_s")
+        assert verdict["change_wins"] == 10 and verdict["met"]
+        assert not verdict["more_failures"]
+
+    def test_failed_operation_fails_the_claim(self):
+        # Every pair is still won on wall_s, but the change failed an operation.
+        summary = bench_pairs.summarize(runs(1), SPEC)
+        verdict = bench_pairs.claim_verdict(summary, "anneal", "wall_s")
+        assert verdict["change_wins"] == 10
+        assert verdict["failed"] == {"parent": 0, "change": 1}
+        assert verdict["more_failures"] and not verdict["met"]
+
+    def test_run_without_a_result_counts_as_failed(self):
+        crashed = runs(0)
+        crashed[1]["result"] = None
+        summary = bench_pairs.summarize(crashed, SPEC)
+        assert summary["anneal"]["failed"]["change"] == 1
+        assert not bench_pairs.claim_verdict(summary, "anneal", "wall_s")["met"]

@@ -97,10 +97,12 @@ def assert_manifest_telemetry(out, stages, cooling_factor=None):
     seconds = manifest["stage_seconds"]
     assert sorted(seconds) == sorted(stages)
     assert all(isinstance(v, float) and v >= 0.0 for v in seconds.values())
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     assert manifest["environment"] == {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
+        "blas": {"name": blas["name"], "version": blas["version"]},
         "cpu_count": len(os.sched_getaffinity(0)),
     }
 
