@@ -18,15 +18,20 @@ Randomized sweeps draw per-trial sub-seeds from a master seed by hashing a
 descriptive label, so results are reproducible and order-independent.  For
 the adversary-count sweep each trial samples one adversary set of the
 largest requested size and reuses its prefixes for the smaller counts,
-which makes per-trial rates comparable across counts.
+which makes per-trial rates comparable across counts.  A sweep's jobs run
+in forked worker processes, one per CPU the process may run on, and their
+rows do not depend on the number of workers.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
+import os
+import time
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import NamedTuple
 
@@ -72,13 +77,31 @@ ALL_KINDS = tuple(ConfigurationKind)
 
 @dataclass(frozen=True)
 class SweepRecord:
-    "One sweep sample: swept value, configuration, rate, and provenance."
+    """One sweep sample: swept value, configuration, rate, and provenance.
+
+    label is the job's seed label; seconds, the job's wall time, is
+    telemetry and takes no part in comparisons.
+    """
 
     sweep_value: int
     configuration: ConfigurationKind
     secrecy_rate_bps_hz: float
     seed: int
     trial: int = 0
+    label: str = ""
+    seconds: float = field(default=0.0, compare=False)
+
+
+class _Job(NamedTuple):
+    "One sweep job: its row's sweep value and trial, seed label, and what to optimize."
+
+    sweep_value: int
+    trial: int
+    label: str
+    scenario: Scenario
+    num_antennas: int
+    params: BaselineParams
+    kind: ConfigurationKind
 
 
 class DesignDiffRecord(NamedTuple):
@@ -167,23 +190,65 @@ def raster_beampattern(scenario: Scenario, design: ArrayDesign,
     return np.concatenate(xs), np.concatenate(ys), np.concatenate(power_db)
 
 
-def _run_jobs(jobs: list[tuple], f0: float, sa_cfg: AnnealerConfig,
-              perturb_cfg: PerturbConfig, master_seed: int) -> list[SweepRecord]:
-    """Optimize and rate each sweep job, in list order.
+def sweep_workers(num_jobs: int) -> int:
+    "Worker processes a sweep of num_jobs jobs runs on: one per CPU this process may use."
+    return min(len(os.sched_getaffinity(0)), num_jobs)
 
-    A job is (sweep value, trial, label, scenario, M, params, kind); its seed
-    is derived from the master seed and its own label only, so a row does
-    not depend on which other jobs the sweep holds.
+
+def _run_job(job: _Job, f0: float, sa_cfg: AnnealerConfig, perturb_cfg: PerturbConfig,
+             master_seed: int) -> SweepRecord:
+    """Optimize and rate one sweep job.
+
+    Its seed is derived from the master seed and its own label only, so the
+    row does not depend on which other jobs the sweep holds or where it runs.
     """
-    records = []
-    for value, trial, label, scenario, m, params, kind in jobs:
-        seed = derive_seed(master_seed, label)
-        design = optimize_configuration(kind, scenario, m, params, f0, sa_cfg, perturb_cfg,
-                                        seed=seed)
-        rate = configuration_rate(kind, scenario, design)
-        logger.info("%s rate=%.4f", label, rate)
-        records.append(SweepRecord(value, kind, rate, seed, trial))
-    return records
+    start = time.perf_counter()
+    seed = derive_seed(master_seed, job.label)
+    design = optimize_configuration(job.kind, job.scenario, job.num_antennas, job.params,
+                                    f0, sa_cfg, perturb_cfg, seed=seed)
+    rate = configuration_rate(job.kind, job.scenario, design)
+    logger.info("%s rate=%.4f", job.label, rate)
+    return SweepRecord(job.sweep_value, job.kind, rate, seed, job.trial, job.label,
+                       time.perf_counter() - start)
+
+
+def _job_weight(job: _Job) -> tuple[bool, int]:
+    "Sort key of a job's expected run time: annealed kinds, then phases x M x (K + 1)."
+    phases = len(_PHASES.get(job.kind, ()))
+    return job.kind in SA_KINDS, phases * job.num_antennas * (len(job.scenario.eves) + 1)
+
+
+def _run_jobs(jobs: list[_Job], f0: float, sa_cfg: AnnealerConfig,
+              perturb_cfg: PerturbConfig, master_seed: int) -> list[SweepRecord]:
+    """Records of `_run_job` for each job, in list order.
+
+    With more than one worker (`sweep_workers`) the jobs run in a pool of
+    forked processes, the longest expected first, so the longest job does
+    not start last.  Fork, not spawn: a spawned worker re-imports numpy and
+    scipy, which costs about as long as a small sweep takes.  The first job
+    to raise cancels the jobs not yet started and is re-raised here; no
+    worker outlives the call.
+    """
+    run = functools.partial(_run_job, f0=f0, sa_cfg=sa_cfg, perturb_cfg=perturb_cfg,
+                            master_seed=master_seed)
+    workers = sweep_workers(len(jobs))
+    if workers <= 1:
+        return list(map(run, jobs))
+    # Imported here, not at module level: `import fdma` stays free of the
+    # process-pool modules.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        futures = [None] * len(jobs)
+        for i in sorted(range(len(jobs)), key=lambda i: _job_weight(jobs[i]), reverse=True):
+            futures[i] = pool.submit(run, jobs[i])
+        for future in as_completed(futures):
+            future.result()  # raises the first failure as it arrives
+        return [future.result() for future in futures]
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def sweep_vs_num_antennas(base_scenario: Scenario, m_values: list[int],
@@ -207,7 +272,7 @@ def sweep_vs_num_antennas(base_scenario: Scenario, m_values: list[int],
         eves = place_canonical_eves(m, base_scenario.bob, params, link_cfg, f0,
                                     base_scenario.speed_of_light)
         scenario = replace(base_scenario, eves=eves)
-        jobs += [(m, 0, f"sweep-m/M={m}/kind={kind.value}", scenario, m, params, kind)
+        jobs += [_Job(m, 0, f"sweep-m/M={m}/kind={kind.value}", scenario, m, params, kind)
                  for kind in kinds]
     return _run_jobs(jobs, f0, sa_cfg, perturb_cfg, master_seed)
 
@@ -245,8 +310,8 @@ def sweep_vs_num_eves(base_scenario: Scenario, k_values: list[int], m_values: li
                 rng_seed=derive_seed(master_seed, f"sweep-k/M={m}/trial={trial}"))
             for k in k_values:
                 scenario = replace(base_scenario, eves=all_eves[:k])
-                jobs += [(k, trial, f"sweep-k/M={m}/K={k}/trial={trial}/kind={kind.value}",
-                          scenario, m, params, kind) for kind in kinds]
+                jobs += [_Job(k, trial, f"sweep-k/M={m}/K={k}/trial={trial}/kind={kind.value}",
+                              scenario, m, params, kind) for kind in kinds]
     return _run_jobs(jobs, f0, sa_cfg, perturb_cfg, master_seed)
 
 

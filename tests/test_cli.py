@@ -2,11 +2,13 @@ import dataclasses
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import platform
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -18,7 +20,7 @@ from hypothesis import given, strategies as st
 import fdma.experiments
 from fdma.cli import _fmt, _write_csv, main
 from fdma.config import ConfigError, parse_config_text
-from fdma.experiments import ALL_KINDS, sweep_vs_num_antennas
+from fdma.experiments import ALL_KINDS, ConfigurationKind, sweep_vs_num_antennas
 from fdma.model import SPEED_OF_LIGHT
 from fdma.scenario import default_baseline_params, make_linear_fda, place_canonical_eves
 
@@ -82,11 +84,14 @@ def config_path(tmp_path):
     return path
 
 
-def assert_manifest_telemetry(out, stages, cooling_factor=None):
+def assert_manifest_telemetry(out, stages, cooling_factor=None, jobs=None):
     """The manifest's per-stage wall times and the environment the run saw.
 
     For an annealing run (cooling_factor given) also its schedule summary,
-    recounted from trace.csv; other runs carry none.
+    recounted from trace.csv; other runs carry none.  For a sweep (jobs
+    given: the job labels in the order the sweep builds them) also its
+    worker count and one wall time per job, each within the sweep stage;
+    other runs carry neither.
     """
     assert not list(out.glob("*.tmp")), "a temporary file was left behind"
     manifest = json.loads((out / "manifest.json").read_text())
@@ -97,6 +102,14 @@ def assert_manifest_telemetry(out, stages, cooling_factor=None):
     seconds = manifest["stage_seconds"]
     assert sorted(seconds) == sorted(stages)
     assert all(isinstance(v, float) and v >= 0.0 for v in seconds.values())
+    if jobs is None:
+        assert "workers" not in manifest and "jobs" not in manifest
+    else:
+        assert manifest["workers"] == min(len(os.sched_getaffinity(0)), len(jobs))
+        assert [job["label"] for job in manifest["jobs"]] == jobs
+        assert all(sorted(job) == ["label", "seconds"] for job in manifest["jobs"])
+        assert all(isinstance(job["seconds"], float)
+                   and 0.0 <= job["seconds"] <= seconds["sweep"] for job in manifest["jobs"])
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     assert manifest["environment"] == {
         "python": platform.python_version(),
@@ -510,6 +523,17 @@ class TestOptimizeCommand:
         assert_manifest_telemetry(out, ["optimize", "write"],
                                   cooling_factor=parse_config_text(BASE_CONFIG).sa_cooling)
 
+    def test_zero_round_sa_trace_has_no_rows(self, tmp_path):
+        config = tmp_path / "r0.cfg"
+        config.write_text("f0_hz = 30e9\nm = 9\nsa_rounds = 0\n")
+        out = tmp_path / "out"
+        assert main(["--config", str(config), "--out", str(out),
+                     "optimize", "--method", "sa"]) == 0
+        lines = (out / "trace.csv").read_text().splitlines()
+        assert lines[0] == "iteration,temperature,cost,accepted,best_cost"
+        assert [line.split("=")[0] for line in lines[1:]] == ["# initial_cost",
+                                                              "# final_cost"]
+
     def test_seed_flag_changes_design(self, config_path, tmp_path):
         docs = []
         for seed in ("1", "2"):
@@ -610,7 +634,34 @@ class TestSweepCommands:
         assert len(pairs) == 2 * 9 and len(kinds) == 9
         ubs = {int(r[0]): float(r[2]) for r in rows if r[1] == "UPPER_BOUND"}
         assert ubs[5] < ubs[7]
-        assert_manifest_telemetry(out, ["sweep", "write"])
+        assert_manifest_telemetry(out, ["sweep", "write"], jobs=[
+            f"sweep-m/M={m}/kind={kind.value}" for m in (5, 7) for kind in ALL_KINDS])
+
+    def test_failing_job_fails_the_sweep_at_once(self, config_path, tmp_path, monkeypatch,
+                                                 capsys):
+        # Patched before the pool forks, so the workers run the patch.  The
+        # failing job is the longest, so a pool submits it first; every other
+        # job takes at least 0.1 s and notes its start in a shared file.
+        started = tmp_path / "started"
+        optimize = fdma.experiments.optimize_configuration
+
+        def patched(kind, scenario, num_antennas, *args, **kwargs):
+            with open(started, "a", encoding="utf-8") as handle:
+                handle.write(f"M={num_antennas}/kind={kind.value}\n")
+            if (kind, num_antennas) == (ConfigurationKind.FDMA_OPT1, 7):
+                raise RuntimeError("job failed on purpose")
+            time.sleep(0.1)
+            return optimize(kind, scenario, num_antennas, *args, **kwargs)
+
+        monkeypatch.setattr(fdma.experiments, "optimize_configuration", patched)
+        out = tmp_path / "out"
+        assert main(["--config", str(config_path), "--out", str(out), "sweep-m"]) == 1
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record == {"error": "RuntimeError", "message": "job failed on purpose"}
+        assert multiprocessing.active_children() == []
+        # The jobs still queued were cancelled, not run.
+        assert len(started.read_text().splitlines()) < 2 * len(ALL_KINDS)
+        assert not (out / "sweep.csv").exists()
 
     def test_sweep_k_zero_adversaries_hits_upper_bound(self, config_path, tmp_path):
         out = tmp_path / "out"
@@ -621,6 +672,9 @@ class TestSweepCommands:
                 in (out / "sweep.csv").read_text().splitlines()[1:]]
         k0 = {float(r[2]) for r in rows if r[0] == "0"}
         assert len(k0) == 1  # every configuration and trial reports the bound
+        assert_manifest_telemetry(out, ["sweep", "write"], jobs=[
+            f"sweep-k/M=9/K={k}/trial={trial}/kind={kind}" for trial in (0, 1)
+            for k in (0, 2) for kind in ("FDMA_OPT1", "FDMA_OPT2")])
 
 
 class TestCompareCommand:

@@ -1,14 +1,18 @@
 import hashlib
 import math
+import multiprocessing
+import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fdma.annealing import AnnealerConfig, cost
-from fdma.experiments import ALL_KINDS, ConfigurationKind, baseline_design, \
-    compare_designs, configuration_rate, mean_rates, optimize_configuration, \
-    raster_beampattern, raster_columns, sweep_vs_num_antennas, sweep_vs_num_eves
+from fdma.experiments import ALL_KINDS, ConfigurationKind, _Job, _run_job, _run_jobs, \
+    baseline_design, compare_designs, configuration_rate, mean_rates, \
+    optimize_configuration, raster_beampattern, raster_columns, sweep_vs_num_antennas, \
+    sweep_vs_num_eves
 from fdma.model import SPEED_OF_LIGHT, Scenario, beampattern_batch, snr_bob, wavelength
 from fdma.perturbation import PerturbConfig
 from fdma.scenario import GridSpec, LinkBudgetConfig, default_baseline_params, make_cpa, \
@@ -255,6 +259,47 @@ def test_sweep_bytes_pinned(base_scenario, link_mod):
             digest.update(f"{name}|{r.sweep_value}|{r.configuration.value}|"
                           f"{r.secrecy_rate_bps_hz.hex()}|{r.seed}|{r.trial}\n".encode())
     assert digest.hexdigest() == SWEEP_DIGEST
+
+
+@pytest.fixture(scope="module")
+def mixed_jobs(base_scenario, link_mod):
+    "Annealed, closed-form and baseline jobs at two array sizes and two adversary counts."
+    kinds = (ConfigurationKind.FDMA_OPT1, ConfigurationKind.MA_OPT1,
+             ConfigurationKind.FDMA_OPT2, ConfigurationKind.CPA)
+    jobs = []
+    for m in (5, 7):
+        params = default_grid(m)
+        eves = place_canonical_eves(m, base_scenario.bob, params, link_mod, F0,
+                                    SPEED_OF_LIGHT)
+        for k in (1, 3):
+            scenario = replace(base_scenario, eves=tuple(eves[:k]))
+            jobs += [_Job(k, 0, f"pool/M={m}/K={k}/kind={kind.value}", scenario, m, params,
+                          kind) for kind in kinds]
+    return jobs
+
+
+JOB_ARGS = (F0, AnnealerConfig(max_iterations=150, seed=0, max_rounds=1), PerturbConfig(), 23)
+
+
+@pytest.fixture(scope="module")
+def serial_records(mixed_jobs):
+    "Each job's record from `_run_job` in this process, by label."
+    return {job.label: _run_job(job, *JOB_ARGS) for job in mixed_jobs}
+
+
+@pytest.mark.parametrize("one_cpu", [True, False], ids=["one-cpu", "all-cpus"])
+@settings(max_examples=3)
+@given(data=st.data())
+def test_pool_records_equal_serial_records(mixed_jobs, serial_records, one_cpu, data):
+    # Each example forks a pool of one worker per CPU when one_cpu is False.
+    jobs = data.draw(st.permutations(mixed_jobs))
+    with pytest.MonkeyPatch.context() as patch:
+        if one_cpu:
+            patch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        records = _run_jobs(jobs, *JOB_ARGS)
+    assert records == [serial_records[job.label] for job in jobs]
+    assert all(record.seconds > 0.0 for record in records)
+    assert multiprocessing.active_children() == []
 
 
 class TestCompareDesigns:
