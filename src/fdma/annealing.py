@@ -313,48 +313,35 @@ class _RawDraws:
         bit_generator.state = state
 
 
-class _BlockMove:
-    """One block of the design, spacings or shifts, redrawn one coordinate per candidate.
-
-    A candidate sets coordinate i to a uniform draw in [lo, upper[i]], where
-    upper_of(state) gives each coordinate's largest feasible value with the
-    others held; costs(stack) costs the rows of a stack of blocks in one
-    batched call (a single block gives a scalar).
-    """
-
-    __slots__ = ("state", "cost", "upper", "lo", "costs", "_upper_of")
-
-    def __init__(self, state: np.ndarray, lo: float, upper_of, costs):
-        self.lo, self.costs, self._upper_of = lo, costs, upper_of
-        self.settle(state, float(costs(state)))
-
-    def settle(self, state: np.ndarray, cost: float) -> None:
-        self.state, self.cost, self.upper = state, cost, self._upper_of(state)
-
-
 def _position_move(scenario: Scenario, design: ArrayDesign,
-                   params: BaselineParams) -> _BlockMove:
-    "Spacings redrawn under the adaptive span limit; every candidate recentres the array."
+                   params: BaselineParams) -> tuple:
+    """Spacings redrawn under the adaptive span limit; every candidate recentres the array.
+
+    A move is the tuple (state, lo, upper_of, costs): a candidate sets
+    coordinate i of the state to a uniform draw in [lo, upper_of(state)[i]],
+    the largest feasible value with the others held, and costs(stack) costs
+    the rows of a stack of states in one batched call (a single state gives
+    a scalar).
+    """
     half_width, shifts, f0 = params.aperture_half_width, design.freq_shifts, design.f0
-    return _BlockMove(
-        _initial_spacings(design, params), params.min_spacing,
-        lambda d: adaptive_max_spacing(d, slice(None), half_width),
-        lambda d: _raw_cost(scenario, reconstruct_positions(d, half_width), shifts, f0))
+    return (_initial_spacings(design, params), params.min_spacing,
+            lambda d: adaptive_max_spacing(d, slice(None), half_width),
+            lambda d: _raw_cost(scenario, reconstruct_positions(d, half_width), shifts, f0))
 
 
 def _shift_move(scenario: Scenario, design: ArrayDesign,
-                params: BaselineParams) -> _BlockMove:
-    "Shifts redrawn inside the box, positions held."
+                params: BaselineParams) -> tuple:
+    "Shifts redrawn inside the box, positions held; a move as `_position_move` gives it."
     lo, hi = params.freq_shift_bounds
     positions, f0 = design.positions, design.f0
-    return _BlockMove(_boxed_shifts(design.freq_shifts, params), lo,
-                      lambda shifts: np.full(shifts.size, hi),
-                      lambda shifts: _raw_cost(scenario, positions, shifts, f0))
+    return (_boxed_shifts(design.freq_shifts, params), lo,
+            lambda shifts: np.full(shifts.size, hi),
+            lambda shifts: _raw_cost(scenario, positions, shifts, f0))
 
 
-def _anneal_loop(move: _BlockMove, cfg: AnnealerConfig, rng: np.random.Generator,
+def _anneal_loop(move: tuple, cfg: AnnealerConfig, rng: np.random.Generator,
                  trace: list | None) -> tuple[np.ndarray, float]:
-    """Single-coordinate annealing of move's block; returns the best visited state.
+    """Single-coordinate annealing of a move's block; returns the best visited state.
 
     Works in windows: from the current state it decodes a window of
     candidates from the generator's raw words, each with the draws a
@@ -367,11 +354,14 @@ def _anneal_loop(move: _BlockMove, cfg: AnnealerConfig, rng: np.random.Generator
     doubles, up to _MAX_WINDOW, after each window without one, so a chain
     that accepts often drops little costed work.
     """
-    best, best_cost = move.state, move.cost
+    state, lo, upper_of, costs_of = move
+    current = float(costs_of(state))
+    upper = upper_of(state)
+    best, best_cost = state, current
     t0 = cfg.initial_temperature
     if t0 is None:
-        t0 = max(move.cost, 1e-12)
-    draws = _RawDraws(rng, move.state.size)
+        t0 = max(current, 1e-12)
+    draws = _RawDraws(rng, state.size)
     t = width = 1
     while t <= cfg.max_iterations:
         temperatures = [t0 * cfg.cooling_factor ** s
@@ -379,11 +369,11 @@ def _anneal_loop(move: _BlockMove, cfg: AnnealerConfig, rng: np.random.Generator
         indices, fractions, uniforms = draws.window(
             tuple(temperature > 0.0 for temperature in temperatures))
         w = indices.size
-        stack = np.repeat(move.state[None], w, axis=0)
-        stack[np.arange(w), indices] = move.lo + (move.upper[indices] - move.lo) * fractions
-        costs = move.costs(stack).tolist()
+        stack = np.repeat(state[None], w, axis=0)
+        stack[np.arange(w), indices] = lo + (upper[indices] - lo) * fractions
+        costs = costs_of(stack).tolist()
         uniforms = uniforms.tolist()
-        current, accepted = move.cost, False
+        accepted = False
         for j in range(w):
             delta = costs[j] - current
             temperature = temperatures[j]
@@ -400,9 +390,10 @@ def _anneal_loop(move: _BlockMove, cfg: AnnealerConfig, rng: np.random.Generator
                              zip(range(t, t + j), temperatures, costs, repeat(False),
                                  repeat(best_cost))))
         if accepted:
-            move.settle(stack[j].copy(), costs[j])
-            if costs[j] < best_cost:
-                best, best_cost = move.state, costs[j]
+            state, current = stack[j].copy(), costs[j]
+            upper = upper_of(state)
+            if current < best_cost:
+                best, best_cost = state, current
         if trace is not None:
             trace.append(IterationRecord(t + j, temperatures[j], costs[j], accepted,
                                          best_cost))

@@ -24,6 +24,7 @@ import platform
 import sys
 import time
 from collections.abc import Iterable, Iterator
+from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import TextIO
@@ -34,9 +35,9 @@ import scipy
 from . import __version__
 from .annealing import IterationRecord, cost, schedule_summary
 from .config import ConfigError, RunConfig, parse_config_file
-from .experiments import ALL_KINDS, ConfigurationKind, baseline_design, compare_designs, \
-    optimize_configuration, raster_columns, sweep_vs_num_antennas, sweep_vs_num_eves, \
-    sweep_workers
+from .experiments import ALL_KINDS, ConfigurationKind, available_cpus, baseline_design, \
+    compare_designs, optimize_configuration, raster_columns, sweep_vs_num_antennas, \
+    sweep_vs_num_eves, sweep_workers
 from .model import ArrayDesign, Scenario, wavelength
 from .perturbation import RoundRecord
 from .scenario import place_canonical_eves
@@ -144,7 +145,7 @@ def _environment() -> dict:
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "blas": {"name": blas.get("name"), "version": blas.get("version")},
-        "cpu_count": len(os.sched_getaffinity(0)),
+        "cpu_count": available_cpus(),
     }
 
 
@@ -208,16 +209,17 @@ def cmd_beampattern(cfg: RunConfig, kind: ConfigurationKind, out_dir: Path) -> N
     clock.lap("design")
     grid = cfg.grid()
     y_text = ["%.17g" % y for y in grid.y_points().tolist()]
-    with _atomic_open(out_dir / "raster.csv") as handle:
-        handle.write("x_m,y_m,power_db\n")
-        clock.lap("write")
+
+    def rows() -> Iterator[tuple]:
         # Each column is written as soon as it is computed, so memory stays
         # bounded by one column whatever the grid size.
+        clock.lap("write")
         for x, _, power_db in raster_columns(scenario, design, grid):
             clock.lap("raster")
-            row = "%.17g," % x + "%s,%.17g\n"
-            handle.writelines(map(row.__mod__, zip(y_text, power_db.tolist())))
+            yield from zip(repeat("%.17g" % x), y_text, power_db.tolist())
             clock.lap("write")
+
+    _write_csv(out_dir / "raster.csv", ["x_m", "y_m", "power_db"], "%s,%s,%.17g", rows())
     _write_json(out_dir / "design.json", _design_document(design, cfg.speed_of_light))
     clock.lap("write")
     _write_manifest(out_dir, f"beampattern/{kind.value}", cfg,

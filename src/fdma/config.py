@@ -16,7 +16,7 @@ from .annealing import AnnealerConfig
 from .model import Placement, Scenario, SPEED_OF_LIGHT, wavelength
 from .perturbation import PerturbConfig
 from .scenario import BaselineParams, GridSpec, LinkBudgetConfig, PolarDomain, \
-    make_placement
+    dbm_to_milliwatts, make_placement
 
 
 class ConfigError(ValueError):
@@ -209,8 +209,7 @@ class RunConfig:
 
     def base_scenario(self) -> Scenario:
         "Scenario shell with no adversaries; sweeps attach their own."
-        cfg = self.link_budget()
-        return Scenario(self.bob(), (), 10.0 ** (cfg.tx_power_dbm / 10.0),
+        return Scenario(self.bob(), (), dbm_to_milliwatts(self.tx_power_dbm),
                         self.speed_of_light)
 
     def grid(self) -> GridSpec:

@@ -167,32 +167,23 @@ def raster_columns(scenario: Scenario, design: ArrayDesign,
     norm = design.num_antennas ** 2
     for x in grid.x_points().tolist():
         ranges = np.hypot(x, ys)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            cosines = np.where(ranges > 0.0, x / np.where(ranges > 0, ranges, 1.0), 0.0)
+        cosines = np.where(ranges > 0.0, x / np.where(ranges > 0, ranges, 1.0), 0.0)
         etas = beampattern_batch(design, ranges, cosines, scenario.bob,
                                  scenario.speed_of_light)
         power = np.abs(etas) ** 2 / norm
         yield x, ys, 10.0 * np.log10(np.maximum(power, 1e-300))
 
 
-def raster_beampattern(scenario: Scenario, design: ArrayDesign,
-                       grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Normalized beampattern power over a Cartesian grid, in dB.
-
-    Returns the flat arrays (x_m, y_m, power_db), one entry per grid point,
-    row-major over (x, y): the concatenated blocks of `raster_columns`.
-    """
-    xs, ys, power_db = [], [], []
-    for x, column_ys, column_db in raster_columns(scenario, design, grid):
-        xs.append(np.full(column_ys.size, x))
-        ys.append(column_ys)
-        power_db.append(column_db)
-    return np.concatenate(xs), np.concatenate(ys), np.concatenate(power_db)
+def available_cpus() -> int:
+    "CPUs this process may run on: its affinity set where the OS has one (not macOS)."
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def sweep_workers(num_jobs: int) -> int:
     "Worker processes a sweep of num_jobs jobs runs on: one per CPU this process may use."
-    return min(len(os.sched_getaffinity(0)), num_jobs)
+    return min(available_cpus(), num_jobs)
 
 
 def _run_job(job: _Job, f0: float, sa_cfg: AnnealerConfig, perturb_cfg: PerturbConfig,

@@ -19,10 +19,11 @@ from hypothesis import given, strategies as st
 
 import fdma.experiments
 from fdma.cli import _fmt, _write_csv, main
-from fdma.config import ConfigError, parse_config_text
+from fdma.config import ConfigError, RunConfig, parse_config_text
 from fdma.experiments import ALL_KINDS, ConfigurationKind, sweep_vs_num_antennas
 from fdma.model import SPEED_OF_LIGHT
-from fdma.scenario import default_baseline_params, make_linear_fda, place_canonical_eves
+from fdma.scenario import DEFAULT_EVE_DOMAIN, LinkBudgetConfig, default_baseline_params, \
+    dbm_to_milliwatts, make_linear_fda, place_canonical_eves
 
 from conftest import F0, cli_env
 
@@ -345,6 +346,20 @@ class TestConfigParsing:
         cfg = parse_config_text("f0_hz = 30e9\nM = 13\nK = 2")
         assert cfg.m == 13 and cfg.k == 2
 
+    @pytest.mark.parametrize("f0", [2.4e9, 28e9, 30e9, 77e9])
+    def test_stock_config_matches_library_defaults(self, f0):
+        # The CLI takes its scenario from the config, while library callers
+        # (the benchmark's rate bound, the tests' default_grid) take the
+        # library defaults: stock values must agree to the bit.
+        cfg = RunConfig(f0_hz=f0)
+        for m in (4, 9, 21, 31, 64):
+            assert cfg.baseline_params(m) == default_baseline_params(m, f0, SPEED_OF_LIGHT)
+        assert cfg.baseline_params() == default_baseline_params(cfg.m, f0, SPEED_OF_LIGHT)
+        assert cfg.link_budget() == LinkBudgetConfig()
+        assert cfg.eve_domain() == DEFAULT_EVE_DOMAIN
+        assert cfg.base_scenario().tx_power_linear == \
+            dbm_to_milliwatts(LinkBudgetConfig().tx_power_dbm)
+
 
 class TestBeampatternCommand:
     def test_raster_contract(self, config_path, tmp_path):
@@ -425,6 +440,18 @@ class TestBeampatternCommand:
                           "message": "kernel failed on the third column"}
         assert not (out / "raster.csv").exists()
         assert not (out / "raster.csv.tmp").exists()
+
+    def test_runs_where_the_os_has_no_affinity_set(self, config_path, tmp_path,
+                                                   monkeypatch):
+        # macOS has no os.sched_getaffinity: the manifest and the sweeps
+        # fall back to the CPU count.
+        monkeypatch.delattr(os, "sched_getaffinity")
+        out = tmp_path / "out"
+        assert main(["--config", str(config_path), "--out", str(out),
+                     "--kind", "CPA", "beampattern"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["environment"]["cpu_count"] == (os.cpu_count() or 1)
+        assert fdma.experiments.sweep_workers(2**20) == (os.cpu_count() or 1)
 
     def test_missing_required_key_reported(self, tmp_path):
         bad = tmp_path / "bad.cfg"

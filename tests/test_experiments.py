@@ -11,8 +11,7 @@ from hypothesis import given, settings, strategies as st
 from fdma.annealing import AnnealerConfig, cost
 from fdma.experiments import ALL_KINDS, ConfigurationKind, _Job, _run_job, _run_jobs, \
     baseline_design, compare_designs, configuration_rate, mean_rates, \
-    optimize_configuration, raster_beampattern, raster_columns, sweep_vs_num_antennas, \
-    sweep_vs_num_eves
+    optimize_configuration, raster_columns, sweep_vs_num_antennas, sweep_vs_num_eves
 from fdma.model import SPEED_OF_LIGHT, Scenario, beampattern_batch, snr_bob, wavelength
 from fdma.perturbation import PerturbConfig
 from fdma.scenario import GridSpec, LinkBudgetConfig, default_baseline_params, make_cpa, \
@@ -57,6 +56,14 @@ def whole_grid_raster(scenario, design, grid):
     return flat_x, flat_y, 10.0 * np.log10(np.maximum(power, 1e-300))
 
 
+def flat_raster(columns):
+    "The columns of `raster_columns` concatenated: flat (x, y, power_db), row-major."
+    columns = list(columns)
+    return (np.concatenate([np.full(ys.size, x) for x, ys, _ in columns]),
+            np.concatenate([ys for _, ys, _ in columns]),
+            np.concatenate([db for _, _, db in columns]))
+
+
 @st.composite
 def raster_grids(draw):
     "Small grids; the first form puts a sample on the origin (range 0)."
@@ -86,15 +93,13 @@ class TestRaster:
         else:
             design = random_design(rng, m)
         scenario = Scenario(random_placement(rng, LinkBudgetConfig()), (), 1.0)
-        columns = list(raster_columns(scenario, design, grid))
+        # No division by zero or invalid value, even where a sample sits on
+        # the origin: the range-0 guard is in the arithmetic, not in errstate.
+        with np.errstate(divide="raise", invalid="raise"):
+            columns = list(raster_columns(scenario, design, grid))
         assert [x for x, _, _ in columns] == grid.x_points().tolist()
-        blocks = (np.repeat([x for x, _, _ in columns], grid.y_points().size),
-                  np.concatenate([ys for _, ys, _ in columns]),
-                  np.concatenate([db for _, _, db in columns]))
         expected = whole_grid_raster(scenario, design, grid)
-        assert all(np.array_equal(u, v) for u, v in zip(blocks, expected))
-        assert all(np.array_equal(u, v)
-                   for u, v in zip(raster_beampattern(scenario, design, grid), expected))
+        assert all(np.array_equal(u, v) for u, v in zip(flat_raster(columns), expected))
 
     def test_grid_aligned_receiver_cell_is_zero_db(self, bob_mod, link_mod):
         params = default_baseline_params(21, F0, SPEED_OF_LIGHT)
@@ -102,7 +107,7 @@ class TestRaster:
         scenario = Scenario(bob_mod, tuple(eves), 10.0 ** 0.5)
         design = make_cpa(21, params, F0)
         grid = GridSpec(20.0, 40.0, 80.0, 100.0, 1.0)  # (30, 90) lands on-grid
-        x, y, power_db = raster_beampattern(scenario, design, grid)
+        x, y, power_db = flat_raster(raster_columns(scenario, design, grid))
         assert x.shape == y.shape == power_db.shape == (21 * 21,)
         (receiver,) = np.flatnonzero((x == 30.0) & (y == 90.0))
         assert power_db[receiver] > -1e-9
@@ -112,8 +117,8 @@ class TestRaster:
         params = default_baseline_params(11, F0, SPEED_OF_LIGHT)
         design = make_linear_fda(11, params, F0)
         grid = GridSpec(-20.0, 20.0, 10.0, 40.0, 2.0)
-        a = raster_beampattern(base_scenario, design, grid)
-        b = raster_beampattern(base_scenario, design, grid)
+        a = flat_raster(raster_columns(base_scenario, design, grid))
+        b = flat_raster(raster_columns(base_scenario, design, grid))
         assert len(a) == len(b) == 3
         assert all(np.array_equal(u, v) for u, v in zip(a, b))
 
