@@ -26,7 +26,10 @@ change's share of failed operations on that workload is no larger than the
 parent's.  Each side's failed/attempted count is printed next to the
 medians.
 --count-seed S adds one `--trace 1 --seconds 0` run per side and workload on
-seed S, whose per-command-set counts must repeat exactly across sides.
+seed S, whose per-command-set counts must repeat exactly across sides.  These
+runs start with their CPU affinity set to one CPU, where the OS has affinity
+sets, so that a sweep runs its jobs in the traced process rather than in
+worker processes the tracer cannot see; timed runs keep every CPU.
 """
 
 from __future__ import annotations
@@ -72,15 +75,25 @@ def checkout(commit: str, dest: Path) -> Path:
     return dest
 
 
+def one_cpu() -> None:
+    "Restrict the calling process to one of the CPUs it may run on."
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
 def run_once(copy: Path, command: list[str], workload: str, seed: int, seconds: float,
              trace: int) -> dict:
-    "One benchmark process; returns its return code, environment line and last JSON line."
+    """One benchmark process; returns its return code, environment line and last JSON line.
+
+    A traced run is pinned to one CPU (`one_cpu`) where the OS has affinity sets.
+    """
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     argv = [sys.executable if command[0].startswith("python") else command[0],
             *command[1:], "--workload", workload, "--seed", str(seed),
             "--seconds", f"{seconds:g}", "--trace", str(trace)]
     started = time.time()
-    proc = subprocess.run(argv, cwd=copy, env=env, capture_output=True, text=True)
+    pin = one_cpu if trace and hasattr(os, "sched_setaffinity") else None
+    proc = subprocess.run(argv, cwd=copy, env=env, capture_output=True, text=True,
+                          preexec_fn=pin)
     lines = proc.stdout.splitlines()
     run_env = next((json.loads(line[len("env:"):]) for line in lines
                     if line.startswith("env:")), None)

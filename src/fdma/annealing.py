@@ -28,11 +28,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import ArrayDesign, Scenario, eve_gains
-from .scenario import BaselineParams
+from .scenario import SPAN_SLACK, BaselineParams, fits_aperture
 
 logger = logging.getLogger("fdma.annealing")
 
-_SPAN_SLACK = 1e-9  # relative tolerance on the aperture constraint
 _MAX_WINDOW = 32  # most candidates drawn from one state and costed in one kernel call
 _CHUNK_WORDS = 4096  # raw generator words drawn at a time
 _UNIT = 2.0 ** -53  # random() is (word >> 11) * 2**-53
@@ -123,11 +122,9 @@ def reconstruct_positions(spacing_vec: np.ndarray, aperture_half_width: float) -
     """
     d = np.asarray(spacing_vec, dtype=float)
     span = d.sum(axis=-1)
-    limit = 2.0 * aperture_half_width
-    if np.any(span > limit * (1.0 + _SPAN_SLACK)):
-        raise InfeasibleSpacingError(
-            f"total span {np.max(span):.6g} exceeds aperture 2D = {limit:.6g}"
-        )
+    if not np.all(fits_aperture(span, aperture_half_width)):
+        raise InfeasibleSpacingError(f"total span {np.max(span):.6g} exceeds aperture "
+                                     f"2D = {2.0 * aperture_half_width:.6g}")
     start = (-span / 2.0)[..., None]
     positions = np.empty(d.shape[:-1] + (d.shape[-1] + 1,))
     positions[..., :1] = start
@@ -161,24 +158,11 @@ def _check_optimizable(scenario: Scenario, design: ArrayDesign) -> None:
         raise ValueError("need fewer eavesdroppers than antennas")
 
 
-def _boxed_shifts(shifts: np.ndarray, params: BaselineParams) -> np.ndarray:
-    # A linear ramp outgrows the shift box for wide arrays; the box is the
-    # optimizer's constraint, so saturate the starting point instead of
-    # rejecting it.
-    lo, hi = params.freq_shift_bounds
-    if np.any(shifts < lo) or np.any(shifts > hi):
-        logger.debug("clipping %d starting shifts into the allowed box",
-                     int(np.count_nonzero((shifts < lo) | (shifts > hi))))
-        return np.clip(shifts, lo, hi)
-    return shifts
-
-
 def _initial_spacings(design: ArrayDesign, params: BaselineParams) -> np.ndarray:
     d = spacings(design.positions)
-    if np.any(d < params.min_spacing * (1.0 - _SPAN_SLACK)):
+    if np.any(d < params.min_spacing * (1.0 - SPAN_SLACK)):
         raise InfeasibleInitializationError("initial spacing below the minimum")
-    span = float(d.sum())
-    if span > 2.0 * params.aperture_half_width * (1.0 + _SPAN_SLACK):
+    if not fits_aperture(float(d.sum()), params.aperture_half_width):
         raise InfeasibleInitializationError("initial span exceeds the aperture")
     return d
 
@@ -334,7 +318,13 @@ def _shift_move(scenario: Scenario, design: ArrayDesign,
     "Shifts redrawn inside the box, positions held; a move as `_position_move` gives it."
     lo, hi = params.freq_shift_bounds
     positions, f0 = design.positions, design.f0
-    return (_boxed_shifts(design.freq_shifts, params), lo,
+    # A linear ramp outgrows the shift box for wide arrays; the box is the
+    # optimizer's constraint, so saturate the starting point instead of
+    # rejecting it.
+    start, clipped = params.clip_shifts(design.freq_shifts)
+    if clipped:
+        logger.debug("clipping %d starting shifts into the allowed box", clipped)
+    return (start, lo,
             lambda shifts: np.full(shifts.size, hi),
             lambda shifts: _raw_cost(scenario, positions, shifts, f0))
 

@@ -36,8 +36,8 @@ from . import __version__
 from .annealing import IterationRecord, cost, schedule_summary
 from .config import ConfigError, RunConfig, parse_config_file
 from .experiments import ALL_KINDS, ConfigurationKind, available_cpus, baseline_design, \
-    compare_designs, optimize_configuration, raster_columns, sweep_vs_num_antennas, \
-    sweep_vs_num_eves, sweep_workers
+    compare_designs, job_workers, optimize_configuration, raster_columns, \
+    sweep_vs_num_antennas, sweep_vs_num_eves
 from .model import ArrayDesign, Scenario, wavelength
 from .perturbation import RoundRecord
 from .scenario import place_canonical_eves
@@ -250,7 +250,8 @@ def cmd_sweep(cfg: RunConfig, axis: str, out_dir: Path) -> None:
     clock.lap("write")
     jobs = [{"label": rec.label, "seconds": rec.seconds} for rec in records]
     _write_manifest(out_dir, f"sweep-{axis}", cfg, ["sweep.csv"], clock,
-                    {"workers": sweep_workers(len(records)), "jobs": jobs})
+                    {"workers": job_workers([rec.configuration for rec in records]),
+                     "jobs": jobs})
 
 
 def _sa_trace_rows(trace: list) -> Iterator[tuple]:

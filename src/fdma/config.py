@@ -16,7 +16,7 @@ from .annealing import AnnealerConfig
 from .model import Placement, Scenario, SPEED_OF_LIGHT, wavelength
 from .perturbation import PerturbConfig
 from .scenario import BaselineParams, GridSpec, LinkBudgetConfig, PolarDomain, \
-    dbm_to_milliwatts, make_placement
+    dbm_to_milliwatts, make_cpa, make_placement
 
 
 class ConfigError(ValueError):
@@ -134,13 +134,26 @@ class RunConfig:
             raise ConfigError("need at least one trial", key="trials")
         if self.seed < 0:
             raise ConfigError("master seed must be non-negative", key="seed")
-        self._check_baseline_grid()
-        self._check_sweep_sizes()
+        if self.delta_d_over_lambda < self.min_spacing_over_lambda:
+            raise ConfigError(
+                f"baseline spacing {self.delta_d_over_lambda:g} wavelengths is below the "
+                f"minimum spacing min_spacing_over_lambda = {self.min_spacing_over_lambda:g}",
+                key="delta_d_over_lambda")
         for build, keys in _DERIVED_KEYS:
             try:
                 getattr(self, build)()
             except ValueError as exc:
                 raise ConfigError(str(exc), key=keys) from exc
+        # The baseline factory's own aperture rule, for every array size the run
+        # may build: a sweep with one size too wide fails here, before any job.
+        sizes = [("m", self.m)] + [(key, m) for key in ("m_values", "sweep_k_m_values")
+                                   for m in getattr(self, key)]
+        for key, m in sizes:
+            try:
+                make_cpa(m, self.baseline_params(m), self.f0_hz)
+            except ValueError as exc:
+                raise ConfigError(str(exc), key=key) from exc
+        self._check_sweep_sizes()
 
     def _check_sweep_sizes(self) -> None:
         "The sweeps' array sizes and adversary counts are ones their commands can run."
@@ -154,30 +167,6 @@ class RunConfig:
         if any(k_max >= m for m in self.sweep_k_m_values):
             raise ConfigError(f"largest adversary count {k_max} must be below every "
                               "sweep_k_m_values entry", key="k_values")
-
-    def _check_baseline_grid(self) -> None:
-        """The uniform baseline grid of every array size the run may build fits its box.
-
-        Checked at parse time, so a sweep fails before its first job rather
-        than at the first array size whose grid does not fit.
-        """
-        if self.delta_d_over_lambda < self.min_spacing_over_lambda:
-            raise ConfigError(
-                f"baseline spacing {self.delta_d_over_lambda:g} wavelengths is below the "
-                f"minimum spacing min_spacing_over_lambda = {self.min_spacing_over_lambda:g}",
-                key="delta_d_over_lambda")
-        sizes = [("m", self.m)] + [(key, m) for key in ("m_values", "sweep_k_m_values")
-                                   for m in getattr(self, key)]
-        for key, m in sizes:
-            aperture, source = self.aperture_over_lambda, "aperture_over_lambda"
-            if aperture is None:
-                aperture, source = m, "aperture_over_lambda unset, so M"
-            span = (m - 1) * self.delta_d_over_lambda
-            if span > 2.0 * aperture:
-                raise ConfigError(
-                    f"baseline grid of M = {m} elements spans (M - 1) x "
-                    f"delta_d_over_lambda = {span:g} wavelengths, wider than the "
-                    f"aperture 2 x {aperture:g} wavelengths ({source})", key=key)
 
     # -- derived objects -------------------------------------------------
 

@@ -18,9 +18,9 @@ Randomized sweeps draw per-trial sub-seeds from a master seed by hashing a
 descriptive label, so results are reproducible and order-independent.  For
 the adversary-count sweep each trial samples one adversary set of the
 largest requested size and reuses its prefixes for the smaller counts,
-which makes per-trial rates comparable across counts.  A sweep's jobs run
-in forked worker processes, one per CPU the process may run on, and their
-rows do not depend on the number of workers.
+which makes per-trial rates comparable across counts.  A sweep that
+anneals runs its jobs in forked worker processes, one per CPU the process
+may run on, and its rows do not depend on the number of workers.
 """
 
 from __future__ import annotations
@@ -186,6 +186,14 @@ def sweep_workers(num_jobs: int) -> int:
     return min(available_cpus(), num_jobs)
 
 
+def job_workers(kinds: list[ConfigurationKind]) -> int:
+    """Worker processes for jobs of these kinds: `sweep_workers` if one anneals, else 1.
+
+    Baseline and closed-form jobs take about a millisecond, less than a pool's fork.
+    """
+    return sweep_workers(len(kinds)) if any(kind in SA_KINDS for kind in kinds) else 1
+
+
 def _run_job(job: _Job, f0: float, sa_cfg: AnnealerConfig, perturb_cfg: PerturbConfig,
              master_seed: int) -> SweepRecord:
     """Optimize and rate one sweep job.
@@ -213,7 +221,7 @@ def _run_jobs(jobs: list[_Job], f0: float, sa_cfg: AnnealerConfig,
               perturb_cfg: PerturbConfig, master_seed: int) -> list[SweepRecord]:
     """Records of `_run_job` for each job, in list order.
 
-    With more than one worker (`sweep_workers`) the jobs run in a pool of
+    With more than one worker (`job_workers`) the jobs run in a pool of
     forked processes, the longest expected first, so the longest job does
     not start last.  Fork, not spawn: a spawned worker re-imports numpy and
     scipy, which costs about as long as a small sweep takes.  The first job
@@ -222,7 +230,7 @@ def _run_jobs(jobs: list[_Job], f0: float, sa_cfg: AnnealerConfig,
     """
     run = functools.partial(_run_job, f0=f0, sa_cfg=sa_cfg, perturb_cfg=perturb_cfg,
                             master_seed=master_seed)
-    workers = sweep_workers(len(jobs))
+    workers = job_workers([job.kind for job in jobs])
     if workers <= 1:
         return list(map(run, jobs))
     # Imported here, not at module level: `import fdma` stays free of the

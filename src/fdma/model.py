@@ -60,10 +60,12 @@ class ArrayDesign:
             raise ValueError("positions must be a non-empty 1-D sequence")
         if shifts.shape != positions.shape:
             raise ValueError("freq_shifts must match positions in length")
+        if not (np.isfinite(positions).all() and np.isfinite(shifts).all()):
+            raise ValueError("positions and freq_shifts must be finite")
         if positions.size > 1 and not np.all(np.diff(positions) > 0.0):
             raise ValueError("positions must be strictly increasing")
-        if not self.f0 > 0.0:
-            raise ValueError("f0 must be positive")
+        if not 0.0 < self.f0 < math.inf:
+            raise ValueError("f0 must be positive and finite")
         if shifts.size and np.max(np.abs(shifts)) >= MAX_RELATIVE_SHIFT * self.f0:
             raise ValueError(
                 f"frequency shifts must satisfy |shift| < {MAX_RELATIVE_SHIFT:g} * f0"

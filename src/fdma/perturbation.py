@@ -93,51 +93,39 @@ class RoundRecord(NamedTuple):
     clip_count: int
 
 
-def _angle_deltas(scenario: Scenario) -> np.ndarray:
-    return scenario.eve_cosines - math.cos(scenario.bob.angle_rad)
+def _block(scenario: Scenario, params: BaselineParams, phase: str, held: np.ndarray,
+           f0: float) -> tuple[np.ndarray, np.ndarray]:
+    """Linearized phases (2 pi / c) (f0 dcos x^T + dR f^T) of one block, and their slopes.
 
-
-def _range_deltas(scenario: Scenario) -> np.ndarray:
-    return scenario.bob.range_m - scenario.eve_ranges
-
-
-def _phase_matrix(scenario: Scenario, angle_scale: float, x: np.ndarray,
-                  range_scale: float, f: np.ndarray) -> np.ndarray:
-    """Phases of the linearized beampattern terms, one row per adversary.
-
-    (2 pi / c) (angle_scale dcos x^T + range_scale dR f^T), with dcos and dR
-    the adversaries' direction-cosine and range offsets from the receiver.
+    One row per adversary, with dcos and dR its direction-cosine and range
+    offsets from the receiver.  The block `phase` solves for sits on its
+    uniform profile and the other block is `held`.  The slopes are the
+    phases' derivatives in the solved block: (2 pi / c) f0 dcos or (2 pi / c) dR.
     """
-    return (2.0 * np.pi / scenario.speed_of_light) * (
-        angle_scale * np.outer(_angle_deltas(scenario), x)
-        + range_scale * np.outer(_range_deltas(scenario), f)
-    )
-
-
-def _position_phase_matrix(scenario: Scenario, params: BaselineParams,
-                           freq_shifts: np.ndarray, f0: float) -> np.ndarray:
-    "Phases of the uniform-grid beampattern terms, one row per adversary."
-    idx = centered_indices(len(freq_shifts))
-    return _phase_matrix(scenario, f0 * params.uniform_spacing, idx, 1.0, freq_shifts)
-
-
-def _frequency_phase_matrix(scenario: Scenario, params: BaselineParams,
-                            positions: np.ndarray, f0: float) -> np.ndarray:
-    "Phases of the linear-ramp beampattern terms, one row per adversary."
-    idx = centered_indices(len(positions))
-    return _phase_matrix(scenario, f0, positions, params.uniform_freq_step, idx)
+    c = scenario.speed_of_light
+    d_cos = scenario.eve_cosines - math.cos(scenario.bob.angle_rad)
+    d_range = scenario.bob.range_m - scenario.eve_ranges
+    idx = centered_indices(len(held))
+    if phase == "positions":
+        terms = ((f0 * params.uniform_spacing) * np.outer(d_cos, idx)
+                 + 1.0 * np.outer(d_range, held))
+        slopes = (2.0 * np.pi * f0 / c) * d_cos
+    else:
+        terms = f0 * np.outer(d_cos, held) + params.uniform_freq_step * np.outer(d_range, idx)
+        slopes = (2.0 * np.pi / c) * d_range
+    return (2.0 * np.pi / c) * terms, slopes
 
 
 def position_phase(m: int, k: int, scenario: Scenario, params: BaselineParams,
                    freq_shifts: np.ndarray, f0: float) -> float:
     "Scalar entry of the position-system phase matrix (0-based m, k)."
-    return float(_position_phase_matrix(scenario, params, freq_shifts, f0)[k, m])
+    return float(_block(scenario, params, "positions", freq_shifts, f0)[0][k, m])
 
 
 def frequency_phase(m: int, k: int, scenario: Scenario, params: BaselineParams,
                     positions: np.ndarray, f0: float) -> float:
     "Scalar entry of the frequency-system phase matrix (0-based m, k)."
-    return float(_frequency_phase_matrix(scenario, params, positions, f0)[k, m])
+    return float(_block(scenario, params, "shifts", positions, f0)[0][k, m])
 
 
 def _nulling_system(scenario: Scenario, phases: np.ndarray,
@@ -153,17 +141,13 @@ def _nulling_system(scenario: Scenario, phases: np.ndarray,
 def build_position_system(scenario: Scenario, params: BaselineParams,
                           freq_shifts: np.ndarray, f0: float) -> NullingSystem:
     "Linear system whose solution perturbs element positions toward nulls."
-    phases = _position_phase_matrix(scenario, params, freq_shifts, f0)
-    slopes = (2.0 * np.pi * f0 / scenario.speed_of_light) * _angle_deltas(scenario)
-    return _nulling_system(scenario, phases, slopes)
+    return _nulling_system(scenario, *_block(scenario, params, "positions", freq_shifts, f0))
 
 
 def build_frequency_system(scenario: Scenario, params: BaselineParams,
                            positions: np.ndarray, f0: float) -> NullingSystem:
     "Linear system whose solution perturbs frequency shifts toward nulls."
-    phases = _frequency_phase_matrix(scenario, params, positions, f0)
-    slopes = (2.0 * np.pi / scenario.speed_of_light) * _range_deltas(scenario)
-    return _nulling_system(scenario, phases, slopes)
+    return _nulling_system(scenario, *_block(scenario, params, "shifts", positions, f0))
 
 
 def default_ridge(system: NullingSystem) -> float:
@@ -233,11 +217,8 @@ def apply_position_perturbation(design: ArrayDesign, delta_x: np.ndarray,
 def apply_frequency_perturbation(design: ArrayDesign, delta_f: np.ndarray,
                                  params: BaselineParams) -> tuple[ArrayDesign, int]:
     "Add a frequency perturbation to the given design, clipped to the shift box."
-    delta_f = np.asarray(delta_f, dtype=float)
-    raw = design.freq_shifts + delta_f
-    lo, hi = params.freq_shift_bounds
-    clipped = int(np.count_nonzero((raw < lo) | (raw > hi)))
-    return ArrayDesign(design.positions, design.f0, np.clip(raw, lo, hi)), clipped
+    shifts, clipped = params.clip_shifts(design.freq_shifts + np.asarray(delta_f, dtype=float))
+    return ArrayDesign(design.positions, design.f0, shifts), clipped
 
 
 def first_order_beampattern(scenario: Scenario, params: BaselineParams,
@@ -252,11 +233,11 @@ def first_order_beampattern(scenario: Scenario, params: BaselineParams,
     exact beampattern.
     """
     delta_x = np.asarray(delta_x, dtype=float)
-    phases = _position_phase_matrix(scenario, params, freq_shifts, f0)[k]
-    terms = np.exp(-1j * phases)
-    slope = (2.0 * np.pi * f0 / scenario.speed_of_light) * _angle_deltas(scenario)[k]
-    approx = terms.sum() - 1j * slope * (delta_x @ terms)
-    carrier = math.tau * f0 * _range_deltas(scenario)[k] / scenario.speed_of_light
+    phases, slopes = _block(scenario, params, "positions", freq_shifts, f0)
+    terms = np.exp(-1j * phases[k])
+    approx = terms.sum() - 1j * slopes[k] * (delta_x @ terms)
+    d_range = scenario.bob.range_m - scenario.eve_ranges[k]
+    carrier = math.tau * f0 * d_range / scenario.speed_of_light
     return complex(np.exp(-1j * carrier) * approx)
 
 

@@ -28,6 +28,9 @@ from .model import Placement, ArrayDesign, wavelength
 
 _MAX_REJECTIONS = 100_000
 
+SPAN_SLACK = 1e-9
+"Relative tolerance of the box rules, so that rounding alone never rejects a design."
+
 
 class SamplingExhaustedError(RuntimeError):
     "Rejection sampling failed to find a point outside the target region."
@@ -71,6 +74,16 @@ class BaselineParams:
         lo, hi = self.freq_shift_bounds
         if lo > hi:
             raise ValueError("freq_shift_bounds must be ordered")
+
+    def clip_shifts(self, shifts: np.ndarray) -> tuple[np.ndarray, int]:
+        "Frequency shifts saturated to the shift box, and how many lay outside it."
+        lo, hi = self.freq_shift_bounds
+        return np.clip(shifts, lo, hi), int(np.count_nonzero((shifts < lo) | (shifts > hi)))
+
+
+def fits_aperture(span, half_width: float):
+    "Whether a total span (or each of an array of them) fits the aperture 2 x half_width."
+    return span <= 2.0 * half_width * (1.0 + SPAN_SLACK)
 
 
 @dataclass(frozen=True)
@@ -160,19 +173,26 @@ def centered_indices(num_antennas: int) -> np.ndarray:
     return np.arange(1, num_antennas + 1) - (num_antennas + 1) / 2.0
 
 
-def make_cpa(num_antennas: int, params: BaselineParams, f0: float) -> ArrayDesign:
-    "Uniformly spaced array at a single carrier (all frequency shifts zero)."
+def _uniform_grid(num_antennas: int, params: BaselineParams) -> np.ndarray:
+    "Centred element indices of the uniform baseline grid, which must fit the aperture."
     if num_antennas < 1:
         raise ValueError("need at least one antenna")
-    positions = centered_indices(num_antennas) * params.uniform_spacing
+    span = (num_antennas - 1) * params.uniform_spacing
+    if not fits_aperture(span, params.aperture_half_width):
+        raise ValueError(f"baseline grid of M = {num_antennas} elements spans {span:.6g} m, "
+                         f"wider than the aperture 2 x {params.aperture_half_width:.6g} m")
+    return centered_indices(num_antennas)
+
+
+def make_cpa(num_antennas: int, params: BaselineParams, f0: float) -> ArrayDesign:
+    "Uniformly spaced array at a single carrier (all frequency shifts zero)."
+    positions = _uniform_grid(num_antennas, params) * params.uniform_spacing
     return ArrayDesign(positions, f0, np.zeros(num_antennas))
 
 
 def make_linear_fda(num_antennas: int, params: BaselineParams, f0: float) -> ArrayDesign:
     "Uniformly spaced array with a linear frequency ramp across elements."
-    if num_antennas < 1:
-        raise ValueError("need at least one antenna")
-    idx = centered_indices(num_antennas)
+    idx = _uniform_grid(num_antennas, params)
     return ArrayDesign(idx * params.uniform_spacing, f0, idx * params.uniform_freq_step)
 
 

@@ -1,5 +1,8 @@
 import importlib.util
+import os
 from pathlib import Path
+
+import pytest
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
 spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
@@ -42,3 +45,21 @@ class TestClaimVerdict:
         summary = bench_pairs.summarize(crashed, SPEC)
         assert summary["anneal"]["failed"]["change"] == 1
         assert not bench_pairs.claim_verdict(summary, "anneal", "wall_s")["met"]
+
+
+# Prints the size of its CPU affinity set as the run's JSON result line.
+AFFINITY_STUB = """\
+import json, os
+print(json.dumps({"cpus": len(os.sched_getaffinity(0))}))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity sets")
+@pytest.mark.parametrize("trace", [0, 1])
+def test_only_traced_runs_are_pinned_to_one_cpu(tmp_path, trace):
+    # Count runs must see one CPU so that sweep jobs stay in the traced process.
+    (tmp_path / "stub.py").write_text(AFFINITY_STUB)
+    run = bench_pairs.run_once(tmp_path, ["python3", "stub.py"], "sweep", 1, 0.0, trace)
+    assert run["returncode"] == 0
+    expected = 1 if trace else len(os.sched_getaffinity(0))
+    assert run["result"] == {"cpus": expected}

@@ -705,6 +705,25 @@ class TestSweepCommands:
 
 
 class TestCompareCommand:
+    @pytest.mark.parametrize("positions,shifts", [
+        ("[0.0, Infinity]", "[0.0, 0.0]"),
+        ("[0.0, 0.01]", "[NaN, 0.0]"),
+    ], ids=["inf-position", "nan-shift"])
+    def test_non_finite_design_rejected(self, tmp_path, capsys, positions, shifts):
+        # json.load accepts Infinity and NaN, so the design itself must reject them.
+        config = tmp_path / "c.cfg"
+        config.write_text("f0_hz = 30e9\n")
+        design = tmp_path / "design.json"
+        design.write_text(f'{{"f0_hz": 30e9, "positions_m": {positions}, '
+                          f'"freq_shifts_hz": {shifts}}}')
+        out = tmp_path / "cmp"
+        assert main(["--config", str(config), "--out", str(out), "compare",
+                     "--design-a", str(design), "--design-b", str(design)]) == 1
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record == {"error": "ValueError",
+                          "message": "positions and freq_shifts must be finite"}
+        assert not (out / "compare.csv").exists()
+
     def test_wavelengths_use_configured_speed_of_light(self, tmp_path):
         config = tmp_path / "c.cfg"
         config.write_text("f0_hz = 30e9\nm = 9\nk = 0\nspeed_of_light = 3e8\n")

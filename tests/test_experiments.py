@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import math
 import multiprocessing
@@ -8,14 +9,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fdma.experiments
 from fdma.annealing import AnnealerConfig, cost
 from fdma.experiments import ALL_KINDS, ConfigurationKind, _Job, _run_job, _run_jobs, \
     baseline_design, compare_designs, configuration_rate, mean_rates, \
     optimize_configuration, raster_columns, sweep_vs_num_antennas, sweep_vs_num_eves
 from fdma.model import SPEED_OF_LIGHT, Scenario, beampattern_batch, snr_bob, wavelength
 from fdma.perturbation import PerturbConfig
-from fdma.scenario import GridSpec, LinkBudgetConfig, default_baseline_params, make_cpa, \
-    make_linear_fda, place_canonical_eves
+from fdma.scenario import BaselineParams, GridSpec, LinkBudgetConfig, \
+    default_baseline_params, make_cpa, make_linear_fda, place_canonical_eves
 
 from conftest import F0, default_grid, random_design, random_placement
 
@@ -305,6 +307,39 @@ def test_pool_records_equal_serial_records(mixed_jobs, serial_records, one_cpu, 
     assert records == [serial_records[job.label] for job in jobs]
     assert all(record.seconds > 0.0 for record in records)
     assert multiprocessing.active_children() == []
+
+
+def test_baseline_only_sweep_runs_in_process(base_scenario, link_mod, monkeypatch):
+    # Baseline jobs cost less than a pool takes to fork, so no pool is made for them.
+    kinds = (ConfigurationKind.CPA, ConfigurationKind.LINEAR_FDA,
+             ConfigurationKind.UPPER_BOUND)
+
+    def sweep():
+        return sweep_vs_num_antennas(base_scenario, [5, 7, 9, 11], kinds, link_mod, F0,
+                                     FAST_SA, PerturbConfig(), master_seed=3,
+                                     baseline_params=default_grid)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fdma.experiments, "available_cpus", lambda: 1)
+        one_cpu = sweep()
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("an all-baseline sweep made a process pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    assert sweep() == one_cpu
+    assert fdma.experiments.job_workers(kinds) == 1
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda kind: kind.value)
+def test_every_kind_rejects_a_grid_wider_than_the_aperture(bob_mod, link_mod, kind):
+    # 21 elements 0.75 wavelengths apart span 15 wavelengths, more than 2 x 5.
+    params = BaselineParams(0.75 * LAM, -1e6, 5 * LAM, 0.5 * LAM, (-10e6, 10e6))
+    eves = place_canonical_eves(21, bob_mod, params, link_mod, F0, SPEED_OF_LIGHT)
+    scenario = Scenario(bob_mod, tuple(eves), 10.0 ** 0.5)
+    with pytest.raises(ValueError, match="M = 21 elements spans"):
+        optimize_configuration(kind, scenario, 21, params, F0, FAST_SA, PerturbConfig(),
+                               seed=1)
 
 
 class TestCompareDesigns:

@@ -29,6 +29,15 @@ class TestArrayDesign:
         with pytest.raises(ValueError):
             ArrayDesign([0.0], F0, [2e-3 * F0])
 
+    @pytest.mark.parametrize("positions,f0,shifts", [
+        ([0.0, math.inf], F0, [0.0, 0.0]),
+        ([0.0, 0.01], F0, [0.0, math.nan]),
+        ([0.0, 0.01], math.inf, [0.0, 0.0]),
+    ], ids=["inf-position", "nan-shift", "inf-f0"])
+    def test_rejects_non_finite_values(self, positions, f0, shifts):
+        with pytest.raises(ValueError, match="finite"):
+            ArrayDesign(positions, f0, shifts)
+
     def test_frequencies(self):
         design = ArrayDesign([-0.01, 0.01], F0, [-1e6, 1e6])
         assert np.allclose(design.frequencies, [F0 - 1e6, F0 + 1e6])
