@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import ArrayDesign, Scenario, eve_gains
-from .scenario import SPAN_SLACK, BaselineParams, fits_aperture
+from .scenario import BaselineParams, fits_aperture, meets_min_spacing
 
 logger = logging.getLogger("fdma.annealing")
 
@@ -160,7 +160,7 @@ def _check_optimizable(scenario: Scenario, design: ArrayDesign) -> None:
 
 def _initial_spacings(design: ArrayDesign, params: BaselineParams) -> np.ndarray:
     d = spacings(design.positions)
-    if np.any(d < params.min_spacing * (1.0 - SPAN_SLACK)):
+    if not np.all(meets_min_spacing(d, params.min_spacing)):
         raise InfeasibleInitializationError("initial spacing below the minimum")
     if not fits_aperture(float(d.sum()), params.aperture_half_width):
         raise InfeasibleInitializationError("initial span exceeds the aperture")

@@ -18,9 +18,9 @@ Randomized sweeps draw per-trial sub-seeds from a master seed by hashing a
 descriptive label, so results are reproducible and order-independent.  For
 the adversary-count sweep each trial samples one adversary set of the
 largest requested size and reuses its prefixes for the smaller counts,
-which makes per-trial rates comparable across counts.  A sweep that
-anneals runs its jobs in forked worker processes, one per CPU the process
-may run on, and its rows do not depend on the number of workers.
+which makes per-trial rates comparable across counts.  A sweep with an
+optimized kind runs its jobs in forked worker processes, one per CPU the
+process may run on, and its rows do not depend on the number of workers.
 """
 
 from __future__ import annotations
@@ -181,17 +181,15 @@ def available_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def sweep_workers(num_jobs: int) -> int:
-    "Worker processes a sweep of num_jobs jobs runs on: one per CPU this process may use."
-    return min(available_cpus(), num_jobs)
-
-
 def job_workers(kinds: list[ConfigurationKind]) -> int:
-    """Worker processes for jobs of these kinds: `sweep_workers` if one anneals, else 1.
+    """Worker processes for jobs of these kinds: one per CPU this process may use.
 
-    Baseline and closed-form jobs take about a millisecond, less than a pool's fork.
+    Only 1 when no job is optimized: a baseline job takes microseconds, far
+    less than forking a pool, while a closed-form job can take as long as the fork.
     """
-    return sweep_workers(len(kinds)) if any(kind in SA_KINDS for kind in kinds) else 1
+    if not any(kind in _PHASES for kind in kinds):
+        return 1
+    return min(available_cpus(), len(kinds))
 
 
 def _run_job(job: _Job, f0: float, sa_cfg: AnnealerConfig, perturb_cfg: PerturbConfig,

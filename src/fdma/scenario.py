@@ -69,7 +69,7 @@ class BaselineParams:
     def __post_init__(self):
         if not self.min_spacing > 0.0:
             raise ValueError("min_spacing must be positive")
-        if self.uniform_spacing < self.min_spacing:
+        if not meets_min_spacing(self.uniform_spacing, self.min_spacing):
             raise ValueError("uniform_spacing must be at least min_spacing")
         lo, hi = self.freq_shift_bounds
         if lo > hi:
@@ -84,6 +84,11 @@ class BaselineParams:
 def fits_aperture(span, half_width: float):
     "Whether a total span (or each of an array of them) fits the aperture 2 x half_width."
     return span <= 2.0 * half_width * (1.0 + SPAN_SLACK)
+
+
+def meets_min_spacing(spacing, min_spacing: float):
+    "Whether a spacing (or each of an array of them) is at least min_spacing."
+    return spacing >= min_spacing * (1.0 - SPAN_SLACK)
 
 
 @dataclass(frozen=True)

@@ -451,7 +451,8 @@ class TestBeampatternCommand:
                      "--kind", "CPA", "beampattern"]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["environment"]["cpu_count"] == (os.cpu_count() or 1)
-        assert fdma.experiments.sweep_workers(2**20) == (os.cpu_count() or 1)
+        kinds = [ConfigurationKind.MA_OPT1] * 2 * (os.cpu_count() or 1)
+        assert fdma.experiments.job_workers(kinds) == (os.cpu_count() or 1)
 
     def test_missing_required_key_reported(self, tmp_path):
         bad = tmp_path / "bad.cfg"

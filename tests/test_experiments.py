@@ -310,7 +310,8 @@ def test_pool_records_equal_serial_records(mixed_jobs, serial_records, one_cpu, 
 
 
 def test_baseline_only_sweep_runs_in_process(base_scenario, link_mod, monkeypatch):
-    # Baseline jobs cost less than a pool takes to fork, so no pool is made for them.
+    # Baseline jobs cost less than a pool takes to fork, so no pool is made for them;
+    # one optimized job, closed-form included, brings the pool back.
     kinds = (ConfigurationKind.CPA, ConfigurationKind.LINEAR_FDA,
              ConfigurationKind.UPPER_BOUND)
 
@@ -329,6 +330,8 @@ def test_baseline_only_sweep_runs_in_process(base_scenario, link_mod, monkeypatc
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     assert sweep() == one_cpu
     assert fdma.experiments.job_workers(kinds) == 1
+    with_opt2 = kinds + (ConfigurationKind.FDA_OPT2,)
+    assert fdma.experiments.job_workers(with_opt2) == min(fdma.experiments.available_cpus(), 4)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda kind: kind.value)
