@@ -167,8 +167,8 @@ def _initial_spacings(design: ArrayDesign, params: BaselineParams) -> np.ndarray
     return d
 
 
-# The annealer's draws, decoded in bulk from the generator's raw PCG64 words.
-# A candidate's draws are rng.integers(n) for its index, rng.random() for its
+# The annealer's draws, decoded from the generator's raw PCG64 words.  A
+# candidate's draws are rng.integers(n) for its index, rng.random() for its
 # value and, when T > 0 and it is not accepted downhill, rng.random() for its
 # Metropolis test.  numpy computes random() as (word >> 11) * 2**-53 from one
 # word.  integers(n) takes 32 bits: the half-word PCG64 buffered from its
@@ -187,89 +187,61 @@ class _RawDraws:
     """
 
     __slots__ = ("rng", "n", "threshold", "base", "has_uint32", "uinteger", "used",
-                 "words", "pos", "_layouts", "_last")
+                 "words", "pos", "hot", "records")
 
     def __init__(self, rng: np.random.Generator, n: int):
         self.rng, self.n, self.threshold = rng, n, (2**32 - n) % n
-        self._layouts = {}
-        self._restart()
-
-    def _restart(self) -> None:
-        "Count words from the generator's current state."
-        self.base = state = self.rng.bit_generator.state
+        self.base = state = rng.bit_generator.state
         self.has_uint32, self.uinteger = state["has_uint32"], state["uinteger"]
         self.used = self.pos = 0
-        self.words = np.empty(0, dtype=np.uint64)  # words[pos:] are drawn and unused
+        self.words = []  # words[pos:] are drawn and unused
 
-    def _peek(self, count: int) -> np.ndarray:
-        if self.pos + count > self.words.size:
-            self.words = np.concatenate((self.words[self.pos:],
-                                         self.rng.bit_generator.random_raw(_CHUNK_WORDS)))
-            self.pos = 0
-        return self.words[self.pos:self.pos + count]
+    def _raw(self, count: int) -> list:
+        "At least count fresh words, as Python integers."
+        return self.rng.bit_generator.random_raw(max(_CHUNK_WORDS, count)).tolist()
 
-    def _layout(self, hot: tuple, indexed: bool) -> tuple:
-        # Where a window's draws sit among its words, from the current buffer
-        # state: (words to read, the value words and then the Metropolis
-        # words of all candidates, the word and the shift of each index half,
-        # and per candidate j: words used through j with its Metropolis word,
-        # hot, whether its index takes a fresh word, and its first word).  One
-        # more word is read so that a last candidate that is not hot still
-        # has a Metropolis position.
-        key = (indexed, self.has_uint32, hot)
-        layout = self._layouts.get(key)
-        if layout is None:
-            w = len(hot)
-            fresh = ((np.arange(w) + self.has_uint32) % 2 == 0) & indexed
-            counts = 1 + fresh + np.array(hot, dtype=bool)
-            ends = counts.cumsum()
-            starts = ends - counts
-            values_at = starts + fresh
-            # A buffered index takes the high half of the previous candidate's
-            # fresh word; a buffered first candidate takes uinteger instead.
-            halves_at = np.where(fresh, starts, np.concatenate(([0], starts[:-1])))
-            layout = self._layouts[key] = (
-                int(ends[-1]) + 1, np.concatenate((values_at, values_at + 1)), halves_at,
-                np.where(fresh, 0, 32).astype(np.uint64), ends.tolist(), hot,
-                fresh.tolist(), starts.tolist())
-        return layout
+    def window(self, hot: tuple) -> tuple[np.ndarray, np.ndarray, list]:
+        """Indices, value fractions and Metropolis uniforms of len(hot) candidates.
 
-    def window(self, hot: tuple,
-               indexed: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Indices, value fractions and Metropolis uniforms of a window of candidates.
-
-        Candidate j is drawn as if every candidate before it was rejected,
-        taking its Metropolis draw where hot[j] (T > 0).  Returns fewer than
-        len(hot) candidates when a later index needs a Lemire rejection; a
-        window that starts with one draws that index with the generator
-        itself, so every window holds at least one candidate.  Candidates
-        that are not indexed take no index bits and get index 0.
+        Candidate j is drawn as numpy's serial calls draw it after every
+        candidate before it was rejected, taking its Metropolis draw where
+        hot[j] (T > 0); a candidate that is not hot gets an unused uniform.
         """
-        indexed = indexed and self.n > 1
-        layout = self._layout(hot, indexed)
-        size, draws_at, halves_at, shifts = layout[:4]
-        words = self._peek(size)
-        draws = (words[draws_at] >> 11) * _UNIT
-        w = len(hot)
-        fractions, uniforms = draws[:w], draws[w:]
-        if not indexed:
-            self._last = (layout, words, None)
-            return np.zeros(w, dtype=np.intp), fractions, uniforms
-        halves = (words[halves_at] >> shifts) & _LOW_HALF
-        if self.has_uint32:
-            halves[0] = self.uinteger
-        scaled = halves * self.n
-        self._last = (layout, words, halves)
-        leftover = scaled & _LOW_HALF
-        if leftover.min() < self.threshold:
-            w = int(np.argmax(leftover < self.threshold))
-            if not w:
-                self.sync()
-                index = self.rng.integers(self.n)
-                self._restart()
-                _, fractions, uniforms = self.window(hot[:1], indexed=False)
-                return np.full(1, index), fractions, uniforms
-        return (scaled >> 32)[:w], fractions[:w], uniforms[:w]
+        w, n, threshold = len(hot), self.n, self.threshold
+        # A candidate reads at most three words (index, value, uniform)
+        # unless its index is rejected.
+        if len(self.words) - self.pos < 3 * w:
+            self.words = self.words[self.pos:] + self._raw(3 * w)
+            self.pos = 0
+        words, p = self.words, self.pos
+        has_uint32, uinteger = self.has_uint32, self.uinteger
+        indices, fractions, uniforms, self.records = [0] * w, [], [], []
+        for j, is_hot in enumerate(hot):
+            if n > 1:
+                while True:
+                    # pcg64_next32
+                    if has_uint32:
+                        x, has_uint32 = uinteger, 0
+                    else:
+                        word = words[p]
+                        p += 1
+                        x, has_uint32, uinteger = word & _LOW_HALF, 1, word >> 32
+                    # buffered_bounded_lemire_uint32
+                    scaled = x * n
+                    if scaled & _LOW_HALF >= threshold:
+                        break
+                    # Room for the retry's word and every later read of the window.
+                    if len(words) - p < 3 * (w - j):
+                        words.extend(self._raw(3 * (w - j)))
+                indices[j] = scaled >> 32
+            fractions.append((words[p] >> 11) * _UNIT)
+            p += 1
+            # Where the serial calls stand once candidate j has its value.
+            self.records.append((p, has_uint32, uinteger))
+            uniforms.append((words[p] >> 11) * _UNIT)
+            p += is_hot
+        self.hot = hot
+        return np.array(indices), np.array(fractions), uniforms
 
     def use(self, j: int, metropolis: bool) -> None:
         """Count the words of candidates 0..j of the last window as used.
@@ -277,15 +249,10 @@ class _RawDraws:
         Every candidate before j took its Metropolis draw where hot; j took it
         where hot and metropolis (it was not accepted downhill).
         """
-        (_, _, _, _, ends, hot, fresh, starts), words, halves = self._last
-        used = ends[j] - (hot[j] and not metropolis)
-        self.used += used
-        self.pos += used
-        if halves is not None:
-            if fresh[j]:
-                self.has_uint32, self.uinteger = 1, int(words[starts[j]]) >> 32
-            else:
-                self.has_uint32, self.uinteger = 0, int(halves[j])
+        pos, self.has_uint32, self.uinteger = self.records[j]
+        pos += self.hot[j] and metropolis
+        self.used += pos - self.pos
+        self.pos = pos
 
     def sync(self) -> None:
         "Set the generator to the state the used draws leave it in."
@@ -356,13 +323,12 @@ def _anneal_loop(move: tuple, cfg: AnnealerConfig, rng: np.random.Generator,
     while t <= cfg.max_iterations:
         temperatures = [t0 * cfg.cooling_factor ** s
                         for s in range(t, min(t + width, cfg.max_iterations + 1))]
+        w = len(temperatures)
         indices, fractions, uniforms = draws.window(
             tuple(temperature > 0.0 for temperature in temperatures))
-        w = indices.size
         stack = np.repeat(state[None], w, axis=0)
         stack[np.arange(w), indices] = lo + (upper[indices] - lo) * fractions
         costs = costs_of(stack).tolist()
-        uniforms = uniforms.tolist()
         accepted = False
         for j in range(w):
             delta = costs[j] - current

@@ -160,9 +160,12 @@ class RunConfig:
         if not self.k_values or min(self.k_values) < 0:
             raise ConfigError("need at least one adversary count, none negative",
                               key="k_values")
-        if any(m < 4 for m in self.m_values):
-            raise ConfigError("array-size sweep needs at least four antennas",
-                              key="m_values")
+        if not self.m_values or any(m < 4 for m in self.m_values):
+            raise ConfigError("array-size sweep needs at least one size, each of at "
+                              "least four antennas", key="m_values")
+        if not self.sweep_k_m_values:
+            raise ConfigError("adversary-count sweep needs at least one array size",
+                              key="sweep_k_m_values")
         k_max = max(self.k_values)
         if any(k_max >= m for m in self.sweep_k_m_values):
             raise ConfigError(f"largest adversary count {k_max} must be below every "

@@ -134,6 +134,26 @@ def state_emitting(state, word, ahead):
     return crafted
 
 
+def rejecting_state(ahead, zero_words):
+    """A generator state whose raw words from `ahead` on are rejected as n = 20 indices.
+
+    zero_words 1: one word with a zero low half, whose high half 7 is kept.
+    zero_words 2: the word 0, both of whose halves are rejected, and then a
+    word with a zero low half: an index that starts on the first takes its
+    32 bits from the fourth half, two fresh words later.  The high half of
+    the LCG state that emits that pair was found by a search over states
+    of the form high * (2**64 + 1), which emit 0.
+    """
+    state = np.random.default_rng(7).bit_generator.state
+    if zero_words == 1:
+        return state_emitting(state, 7 << 32, ahead)
+    paired = {**state, "state": {**state["state"], "state": 0x36F3838E99F5ACA6 << 64}}
+    crafted = state_emitting(paired, 0, ahead)
+    words = generator_at(crafted).bit_generator.random_raw(ahead + 2)[-2:]
+    assert words.tolist() == [0, 0x840C5EFB00000000]
+    return crafted
+
+
 def serial_anneal(scenario, design, params, cfg, phase, rng_state=None):
     """Reference annealer: one candidate at a time, each costed by cost() on its design.
 
@@ -310,6 +330,20 @@ class TestWindowedLoopEdgesOfTheDrawStream:
                                np.random.default_rng(10).bit_generator.state,
                                iterations=annealing._CHUNK_WORDS, cooling=0.999)
 
+    @pytest.mark.parametrize("ahead", range(16))
+    @pytest.mark.parametrize("zero_words", [1, 2])
+    @pytest.mark.parametrize("num_antennas, phase", [(20, "shifts"), (21, "positions")])
+    def test_rejections_across_chunk_refills(self, monkeypatch, link_cfg, bob, ahead,
+                                             zero_words, num_antennas, phase):
+        # Three words per chunk put a chunk boundary every few words, and
+        # a window's first refill holds no more than its candidates can
+        # read without a rejection, so a rejected index near a window's
+        # start must draw the words of its retry itself.
+        monkeypatch.setattr(annealing, "_CHUNK_WORDS", 3)
+        state = rejecting_state(ahead, zero_words)
+        assert_windows_match_numpy(state, 20, [True] * 60, {})
+        self.assert_same_chain(link_cfg, bob, num_antennas, phase, state, iterations=60)
+
 
 def assert_windows_match_numpy(state, n, hot, accepted):
     """Decode the draws of len(hot) candidates window by window, as the loop does.
@@ -326,7 +360,7 @@ def assert_windows_match_numpy(state, n, hot, accepted):
     while done < len(hot):
         window = tuple(hot[done:done + width])
         indices, fractions, uniforms = draws.window(window)
-        assert 1 <= indices.size <= len(window)
+        assert indices.size == len(window)
         for j in range(indices.size):
             assert int(reference.integers(n)) == int(indices[j])
             assert reference.random().hex() == float(fractions[j]).hex()
@@ -371,12 +405,11 @@ class TestDrawStream:
         # From an empty buffer, with every candidate hot, candidate 0 takes
         # words 0-2 and candidate 1 its buffered half and words 3-4, so
         # candidate 2's index is the low half of word 5.  Zero there is
-        # rejected at n = 20: the second window, of two candidates, stops
-        # before it, and the third, of four, draws that index with the
-        # generator itself and holds that candidate alone.
+        # rejected at n = 20: the second window, of two candidates, decodes
+        # it with 32 more bits and still holds all its candidates.
         state = state_emitting(np.random.default_rng(11).bit_generator.state, 7 << 32, 5)
         lengths = assert_windows_match_numpy(state, 20, [True] * 40, {})
-        assert lengths[:4] == [1, 1, 1, 8]
+        assert lengths[:4] == [1, 2, 4, 8]
 
     def test_near_miss_inside_a_window(self):
         # As above, with x = 3006477108 in place of 0: x * 20 leaves exactly
@@ -392,7 +425,7 @@ class TestDrawStream:
         lengths = assert_windows_match_numpy(state, 20, [True] * 10, {})
         assert lengths[0] == 1
         draws = annealing._RawDraws(generator_at(state), 20)
-        assert draws.window((True,) * 4)[0].size == 1
+        assert draws.window((True,) * 4)[0].size == 4
 
 
 class TestScheduleSummary:

@@ -302,6 +302,8 @@ class TestConfigParsing:
         ("k_values =", "k_values"),
         ("k_values = -1, 2", "k_values"),
         ("m_values = 3, 5", "m_values"),
+        ("m_values =", "m_values"),
+        ("sweep_k_m_values =", "sweep_k_m_values"),
     ])
     def test_sweep_lists_checked(self, text, key):
         with pytest.raises(ConfigError) as err:
