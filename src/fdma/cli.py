@@ -38,19 +38,14 @@ from .config import ConfigError, RunConfig, parse_config_file
 from .experiments import ALL_KINDS, ConfigurationKind, available_cpus, baseline_design, \
     compare_designs, job_workers, optimize_configuration, raster_columns, \
     sweep_vs_num_antennas, sweep_vs_num_eves
-from .model import ArrayDesign, Scenario, wavelength
+from .model import ArrayDesign, wavelength
 from .perturbation import RoundRecord
-from .scenario import place_canonical_eves
 
 logger = logging.getLogger("fdma")
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.17g}"
-    return str(value)
+def _fmt(value: float) -> str:
+    return f"{float(value):.17g}"
 
 
 def _json_dumps(obj, indent: int = 0) -> str:
@@ -170,18 +165,6 @@ class _Stopwatch:
         self._mark = now
 
 
-def _canonical_scenario(cfg: RunConfig) -> Scenario:
-    base = cfg.base_scenario()
-    if cfg.k == 0:
-        return base
-    if cfg.k != 3:
-        raise ConfigError("canonical adversary placement defines exactly three "
-                          "eavesdroppers; set k = 3 or 0", key="k")
-    eves = place_canonical_eves(cfg.m, base.bob, cfg.baseline_params(),
-                                cfg.link_budget(), cfg.f0_hz, cfg.speed_of_light)
-    return dataclasses.replace(base, eves=eves)
-
-
 def _design_document(design: ArrayDesign, c: float) -> dict:
     lam = wavelength(design.f0, c)
     return {
@@ -203,7 +186,7 @@ def _load_design(path: str) -> ArrayDesign:
 
 def cmd_beampattern(cfg: RunConfig, kind: ConfigurationKind, out_dir: Path) -> None:
     clock = _Stopwatch()
-    scenario = _canonical_scenario(cfg)
+    scenario = cfg.scenario()
     design = optimize_configuration(kind, scenario, cfg.m, cfg.baseline_params(),
                                     cfg.f0_hz, cfg.annealer(), cfg.perturber())
     clock.lap("design")
@@ -270,7 +253,7 @@ def _sa_trace_rows(trace: list) -> Iterator[tuple]:
 
 def cmd_optimize(cfg: RunConfig, method: str, out_dir: Path) -> None:
     clock = _Stopwatch()
-    scenario = _canonical_scenario(cfg)
+    scenario = cfg.scenario()
     params = cfg.baseline_params()
     kind = ConfigurationKind.FDMA_OPT1 if method == "sa" else ConfigurationKind.FDMA_OPT2
     initial_cost = cost(scenario, baseline_design(kind, cfg.m, params, cfg.f0_hz))

@@ -10,27 +10,31 @@ given either in Cartesian form (bob_x_m / bob_y_m) or in polar form
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 from .annealing import AnnealerConfig
-from .model import Placement, Scenario, SPEED_OF_LIGHT, wavelength
+from .model import MAX_RELATIVE_SHIFT, Placement, Scenario, SPEED_OF_LIGHT, wavelength
 from .perturbation import PerturbConfig
 from .scenario import BaselineParams, GridSpec, LinkBudgetConfig, PolarDomain, \
-    dbm_to_milliwatts, make_cpa, make_placement
+    dbm_to_milliwatts, make_cpa, make_placement, place_canonical_eves
 
 
 class ConfigError(ValueError):
     "Configuration problem, annotated with the offending key and line."
 
     def __init__(self, message: str, key: str | None = None, line: int | None = None):
-        detail = message
-        if key is not None:
-            detail += f" (key: {key})"
-        if line is not None:
-            detail += f" (line {line})"
-        super().__init__(detail)
+        super().__init__(message + (f" (key: {key})" if key is not None else "")
+                         + (f" (line {line})" if line is not None else ""))
         self.key = key
         self.line = line
+
+
+def _checked(keys: str, build, *args):
+    "build(*args), with a ValueError it raises re-raised as a ConfigError naming keys."
+    try:
+        build(*args)
+    except ValueError as exc:
+        raise ConfigError(str(exc), key=keys) from exc
 
 
 # Every object a run builds from its config, with the keys that feed it.  Parsing
@@ -126,8 +130,6 @@ class RunConfig:
             if getattr(self, key) is None:
                 raise ConfigError(f"give the receiver by both {pair[0]} and {pair[1]}",
                                   key=key)
-        if self.m < 1:
-            raise ConfigError("need at least one antenna", key="m")
         if self.k < 0:
             raise ConfigError("adversary count must be non-negative", key="k")
         if self.trials < 1:
@@ -140,23 +142,22 @@ class RunConfig:
                 f"minimum spacing min_spacing_over_lambda = {self.min_spacing_over_lambda:g}",
                 key="delta_d_over_lambda")
         for build, keys in _DERIVED_KEYS:
-            try:
-                getattr(self, build)()
-            except ValueError as exc:
-                raise ConfigError(str(exc), key=keys) from exc
-        # The baseline factory's own aperture rule, for every array size the run
-        # may build: a sweep with one size too wide fails here, before any job.
+            _checked(keys, getattr(self, build))
+        # Every array size the run may build, with the key that sets it.
         sizes = [("m", self.m)] + [(key, m) for key in ("m_values", "sweep_k_m_values")
                                    for m in getattr(self, key)]
+        # ArrayDesign's narrowband limit, for the linear ramp at the largest size and the box.
+        reach = {"delta_f_hz": (max(m for _, m in sizes) - 1) / 2 * abs(self.delta_f_hz),
+                 "delta_f_min_hz": abs(self.delta_f_min_hz),
+                 "delta_f_max_hz": abs(self.delta_f_max_hz)}
+        broken = [key for key, hz in reach.items() if hz >= MAX_RELATIVE_SHIFT * self.f0_hz]
+        if broken:
+            raise ConfigError(f"frequency shifts must satisfy |shift| < {MAX_RELATIVE_SHIFT:g}"
+                              " * f0", key=", ".join(["f0_hz"] + broken))
+        # The baseline factory's aperture rule: a sweep with one size too wide fails here.
         for key, m in sizes:
-            try:
-                make_cpa(m, self.baseline_params(m), self.f0_hz)
-            except ValueError as exc:
-                raise ConfigError(str(exc), key=key) from exc
-        self._check_sweep_sizes()
-
-    def _check_sweep_sizes(self) -> None:
-        "The sweeps' array sizes and adversary counts are ones their commands can run."
+            _checked(key, make_cpa, m, self.baseline_params(m), self.f0_hz)
+        # The sweeps' array sizes and adversary counts are ones their commands can run.
         if not self.k_values or min(self.k_values) < 0:
             raise ConfigError("need at least one adversary count, none negative",
                               key="k_values")
@@ -170,6 +171,11 @@ class RunConfig:
         if any(k_max >= m for m in self.sweep_k_m_values):
             raise ConfigError(f"largest adversary count {k_max} must be below every "
                               "sweep_k_m_values entry", key="k_values")
+        # The canonical adversaries wherever a command places them: beampattern
+        # and optimize at m when k = 3, sweep-m at every m_values entry.
+        placed = [("m", self.m)] * (self.k == 3) + [("m_values", m) for m in self.m_values]
+        for key, m in placed:
+            _checked(f"{key}, delta_f_hz", self._canonical_eves, m)
 
     # -- derived objects -------------------------------------------------
 
@@ -203,6 +209,18 @@ class RunConfig:
         "Scenario shell with no adversaries; sweeps attach their own."
         return Scenario(self.bob(), (), dbm_to_milliwatts(self.tx_power_dbm),
                         self.speed_of_light)
+
+    def _canonical_eves(self, m: int) -> list[Placement]:
+        return place_canonical_eves(m, self.bob(), self.baseline_params(m), self.link_budget(),
+                                    self.f0_hz, self.speed_of_light)
+
+    def scenario(self) -> Scenario:
+        "The scenario of beampattern and optimize: the three canonical adversaries, or none."
+        if self.k not in (0, 3):
+            raise ConfigError("canonical adversary placement defines exactly three "
+                              "eavesdroppers; set k = 3 or 0", key="k")
+        eves = self._canonical_eves(self.m) if self.k else ()
+        return replace(self.base_scenario(), eves=eves)
 
     def grid(self) -> GridSpec:
         return GridSpec(self.grid_x_min_m, self.grid_x_max_m,
@@ -262,8 +280,6 @@ def parse_config_text(text: str) -> RunConfig:
         if key in values:
             raise ConfigError("duplicate configuration key", key=key, line=line_no)
         values[key] = _parse_value(key, raw, line_no)
-    if "f0_hz" not in values:
-        raise ConfigError("missing required key", key="f0_hz")
     return RunConfig(**values)
 
 

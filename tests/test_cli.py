@@ -160,6 +160,15 @@ TEXT = st.text(st.characters(blacklist_categories=("Cs",)))
 COLUMNS = {"%.17g": FLOATS, "%d": INTS, "%s": TEXT}
 
 
+def _cell(value) -> str:
+    "Per-cell reference for the CSV writer: what each column type must print as."
+    if isinstance(value, (bool, np.bool_)):
+        return "1" if value else "0"
+    if isinstance(value, (float, np.floating)):
+        return _fmt(value)
+    return str(value)
+
+
 class TestCsvWriter:
     @pytest.mark.parametrize("fmt", [
         "%.17g,%.17g,%.17g",        # raster
@@ -176,7 +185,7 @@ class TestCsvWriter:
                                            FLOATS))
         header = [f"c{i}" for i in range(fmt.count(",") + 1)]
         lines = [",".join(header)]
-        lines += [",".join(_fmt(cell) for cell in r) for r in rows]
+        lines += [",".join(_cell(cell) for cell in r) for r in rows]
         lines += [f"# {key}={_fmt(value)}" for key, value in footer.items()]
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "t.csv"
@@ -332,6 +341,16 @@ class TestConfigParsing:
             cfg.sa_cooling = 1.5
         assert dataclasses.replace(cfg, seed=5).annealer().seed == 5
 
+    def test_command_reports_misplaced_adversary_before_running(self, tmp_path, capsys):
+        config = tmp_path / "small.cfg"
+        config.write_text("f0_hz = 30e9\nm = 4\n")
+        out = tmp_path / "out"
+        assert main(["--config", str(config), "--out", str(out), "beampattern"]) == 1
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "ConfigError" and record["key"] == "m, delta_f_hz"
+        assert "E1 behind the array" in record["message"]
+        assert not out.exists()
+
     def test_command_reports_rejected_value_before_running(self, tmp_path, capsys):
         config = tmp_path / "bad.cfg"
         config.write_text(BASE_CONFIG + "sa_cooling = 1.5\n")
@@ -348,7 +367,57 @@ class TestConfigParsing:
         cfg = parse_config_text("f0_hz = 30e9\nM = 13\nK = 2")
         assert cfg.m == 13 and cfg.k == 2
 
-    @pytest.mark.parametrize("f0", [2.4e9, 28e9, 30e9, 77e9])
+    @pytest.mark.parametrize("text,keys", [
+        ("m = 4", {"m", "delta_f_hz"}),
+        ("m_values = 4, 11", {"m_values", "delta_f_hz"}),
+        ("delta_f_hz = 0", {"delta_f_hz"}),
+        ("k = 0\ndelta_f_hz = 0", {"m_values", "delta_f_hz"}),
+    ])
+    def test_canonical_adversaries_placed_at_parse(self, text, keys):
+        # Each of these used to parse, and beampattern, optimize or sweep-m
+        # then failed placing the adversaries with an error that named no key.
+        with pytest.raises(ConfigError) as err:
+            parse_config_text("f0_hz = 30e9\n" + text)
+        assert keys <= set(err.value.key.split(", ")), err.value.key
+
+    @pytest.mark.parametrize("text,keys", [
+        # The stock -1 MHz ramp reaches 15 MHz at M = 31 and the box 10 MHz,
+        # both above 0.001 * f0 = 2.4 MHz.
+        ("f0_hz = 2.4e9", {"f0_hz", "delta_f_hz", "delta_f_min_hz", "delta_f_max_hz"}),
+        ("f0_hz = 2.4e9\ndelta_f_hz = -0.1e6", {"f0_hz", "delta_f_min_hz", "delta_f_max_hz"}),
+        # The limit is exclusive: 15 MHz at M = 31 against 0.001 * 15 GHz.
+        ("f0_hz = 15e9", {"f0_hz", "delta_f_hz"}),
+        ("f0_hz = 30e9\ndelta_f_max_hz = 30e6", {"f0_hz", "delta_f_max_hz"}),
+    ])
+    def test_shift_plan_checked_against_narrowband_limit(self, text, keys):
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(text)
+        assert keys == set(err.value.key.split(", ")), err.value.key
+        assert "0.001 * f0" in str(err.value)
+
+    @pytest.mark.parametrize("text", [
+        "f0_hz = 30e9\nm = 4\nk = 0",  # beampattern and optimize place no adversary
+        "f0_hz = 30e9\nk = 5",  # checked when beampattern or optimize runs
+        "f0_hz = 15.0001e9",  # the stock ramp's 15 MHz at M = 31 just fits
+    ])
+    def test_configs_that_still_parse(self, text):
+        parse_config_text(text)
+
+    def test_scenario_places_canonical_adversaries(self):
+        cfg = parse_config_text("f0_hz = 30e9\nm = 9\nk = 3")
+        eves = place_canonical_eves(9, cfg.bob(), cfg.baseline_params(), cfg.link_budget(),
+                                    cfg.f0_hz, cfg.speed_of_light)
+        assert cfg.scenario() == dataclasses.replace(cfg.base_scenario(), eves=eves)
+        assert dataclasses.replace(cfg, k=0).scenario() == cfg.base_scenario()
+        with pytest.raises(ConfigError) as err:
+            dataclasses.replace(cfg, k=2).scenario()
+        assert err.value.key == "k"
+
+    def test_configured_ridge_reaches_perturber(self):
+        cfg = parse_config_text("f0_hz = 30e9\nridge_position = 0.25\nridge_frequency = 3e-5")
+        assert (cfg.perturber().ridge_position, cfg.perturber().ridge_frequency) == (0.25, 3e-5)
+
+    @pytest.mark.parametrize("f0", [24e9, 28e9, 30e9, 77e9])
     def test_stock_config_matches_library_defaults(self, f0):
         # The CLI takes its scenario from the config, while library callers
         # (the benchmark's rate bound, the tests' default_grid) take the

@@ -309,6 +309,19 @@ class TestFirstOrderBeampattern:
             assert 3.0 <= big / small <= 5.0
 
 
+def _first_system(scenario, params, baseline, phase):
+    "The system the first round of a one-phase alternation solves."
+    if phase == "positions":
+        return build_position_system(scenario, params, baseline.freq_shifts, F0)
+    return build_frequency_system(scenario, params, baseline.positions, F0)
+
+
+def _ridge_config(phase, ridge):
+    "One round with the ridge of the solved block configured."
+    key = "ridge_position" if phase == "positions" else "ridge_frequency"
+    return PerturbConfig(max_rounds=1, **{key: ridge})
+
+
 class TestAlternatePerturb:
     def test_no_eves_returns_baseline(self, bob_module, params_module):
         scenario = scenario_with(bob_module, [])
@@ -342,6 +355,42 @@ class TestAlternatePerturb:
         assert np.all(np.diff(a.positions) >= params_module.min_spacing - 1e-12)
         lo, hi = params_module.freq_shift_bounds
         assert np.all((a.freq_shifts >= lo) & (a.freq_shifts <= hi))
+
+    @pytest.mark.parametrize("phase", ["positions", "shifts"])
+    def test_configured_ridge_equal_to_default_reproduces_auto_design(
+            self, canonical, params_module, phase):
+        baseline = make_linear_fda(21, params_module, F0)
+        ridge = default_ridge(_first_system(canonical, params_module, baseline, phase))
+        auto = alternate_perturb(canonical, baseline, params_module,
+                                 PerturbConfig(max_rounds=1), phases=(phase,))
+        configured = alternate_perturb(canonical, baseline, params_module,
+                                       _ridge_config(phase, ridge), phases=(phase,))
+        assert cost(canonical, auto) < cost(canonical, baseline)
+        for a, b in ((auto.positions, configured.positions),
+                     (auto.freq_shifts, configured.freq_shifts)):
+            assert [float(v).hex() for v in a] == [float(v).hex() for v in b]
+
+    @pytest.mark.parametrize("phase", ["positions", "shifts"])
+    def test_huge_configured_ridge_keeps_baseline(self, canonical, params_module, phase):
+        # (A^T Q A + ridge I)^{-1} shrinks A^T Q b by at least the ridge, so a
+        # ridge 1e12 times the default moves no coordinate further than
+        # |A^T Q b| / ridge, under 1e-6 of a baseline step here; clipping to
+        # the box only moves shifts back toward the baseline.
+        baseline = make_linear_fda(21, params_module, F0)
+        system = _first_system(canonical, params_module, baseline, phase)
+        ridge = 1e12 * default_ridge(system)
+        bound = np.linalg.norm(system.a.T @ (system.q_diag * system.b)) / ridge
+        result = alternate_perturb(canonical, baseline, params_module,
+                                   _ridge_config(phase, ridge), phases=(phase,))
+        if phase == "positions":
+            moved, step = result.positions - baseline.positions, params_module.uniform_spacing
+            np.testing.assert_array_equal(result.freq_shifts, baseline.freq_shifts)
+        else:
+            moved, step = result.freq_shifts - baseline.freq_shifts, \
+                abs(params_module.uniform_freq_step)
+            np.testing.assert_array_equal(result.positions, baseline.positions)
+        assert np.max(np.abs(moved)) <= bound * (1.0 + 1e-9)
+        assert bound < 1e-6 * step
 
     def test_rejects_too_many_eves(self, bob_module, link_cfg_module):
         eves = [make_placement(40.0 + i, 1.0 + 0.1 * i, link_cfg_module)
