@@ -297,15 +297,22 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--kind", default="CPA",
                         choices=[k.value for k in ConfigurationKind],
                         help="transmitter configuration for beampattern runs")
+    # Each run(cfg, args, out_dir) looks up its cmd_* when called, so patching one works.
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("beampattern", help="raster the normalized beampattern power")
-    sub.add_parser("sweep-m", help="secrecy rate versus array size")
-    sub.add_parser("sweep-k", help="secrecy rate versus adversary count")
+    sub.add_parser("beampattern", help="raster the normalized beampattern power").set_defaults(
+        run=lambda cfg, args, out: cmd_beampattern(cfg, ConfigurationKind(args.kind), out))
+    sub.add_parser("sweep-m", help="secrecy rate versus array size").set_defaults(
+        run=lambda cfg, args, out: cmd_sweep(cfg, "m", out))
+    sub.add_parser("sweep-k", help="secrecy rate versus adversary count").set_defaults(
+        run=lambda cfg, args, out: cmd_sweep(cfg, "k", out))
     optimize = sub.add_parser("optimize", help="optimize one design and dump it")
     optimize.add_argument("--method", choices=["sa", "perturb"], required=True)
+    optimize.set_defaults(run=lambda cfg, args, out: cmd_optimize(cfg, args.method, out))
     compare = sub.add_parser("compare", help="tabulate two optimized designs")
     compare.add_argument("--design-a", required=True)
     compare.add_argument("--design-b", required=True)
+    compare.set_defaults(
+        run=lambda cfg, args, out: cmd_compare(cfg, args.design_a, args.design_b, out))
     return parser
 
 
@@ -319,19 +326,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = parse_config_file(args.config)
         if args.seed is not None:
             cfg = dataclasses.replace(cfg, seed=args.seed)
-        out_dir = Path(args.out)
-        if args.command == "beampattern":
-            cmd_beampattern(cfg, ConfigurationKind(args.kind), out_dir)
-        elif args.command == "sweep-m":
-            cmd_sweep(cfg, "m", out_dir)
-        elif args.command == "sweep-k":
-            cmd_sweep(cfg, "k", out_dir)
-        elif args.command == "optimize":
-            cmd_optimize(cfg, args.method, out_dir)
-        elif args.command == "compare":
-            cmd_compare(cfg, args.design_a, args.design_b, out_dir)
-        else:  # pragma: no cover - argparse enforces the choices
-            raise ValueError(f"unknown command {args.command!r}")
+        args.run(cfg, args, Path(args.out))
     except Exception as exc:  # noqa: BLE001 - single error boundary for the CLI
         record = {"error": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, ConfigError):

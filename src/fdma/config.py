@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
+from typing import get_type_hints
 
-from .annealing import AnnealerConfig
+from .annealing import AnnealerConfig, _check_optimizable
 from .model import MAX_RELATIVE_SHIFT, Placement, Scenario, SPEED_OF_LIGHT, wavelength
 from .perturbation import PerturbConfig
 from .scenario import BaselineParams, GridSpec, LinkBudgetConfig, PolarDomain, \
-    dbm_to_milliwatts, make_cpa, make_placement, place_canonical_eves
+    dbm_to_milliwatts, make_cpa, make_placement, meets_min_spacing, place_canonical_eves
 
 
 class ConfigError(ValueError):
@@ -136,7 +137,7 @@ class RunConfig:
             raise ConfigError("need at least one trial", key="trials")
         if self.seed < 0:
             raise ConfigError("master seed must be non-negative", key="seed")
-        if self.delta_d_over_lambda < self.min_spacing_over_lambda:
+        if not meets_min_spacing(self.delta_d_over_lambda, self.min_spacing_over_lambda):
             raise ConfigError(
                 f"baseline spacing {self.delta_d_over_lambda:g} wavelengths is below the "
                 f"minimum spacing min_spacing_over_lambda = {self.min_spacing_over_lambda:g}",
@@ -176,6 +177,10 @@ class RunConfig:
         placed = [("m", self.m)] * (self.k == 3) + [("m_values", m) for m in self.m_values]
         for key, m in placed:
             _checked(f"{key}, delta_f_hz", self._canonical_eves, m)
+        # The optimizers' K < M rule, on the scenario beampattern and optimize build.
+        if self.k == 3:
+            _checked("m, k", _check_optimizable, self.scenario(),
+                     make_cpa(self.m, self.baseline_params(), self.f0_hz))
 
     # -- derived objects -------------------------------------------------
 
@@ -245,17 +250,16 @@ class RunConfig:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-_INT_KEYS = {"m", "k", "seed", "trials", "sa_iterations", "sa_rounds", "perturb_rounds"}
-_INT_TUPLE_KEYS = {"m_values", "k_values", "sweep_k_m_values"}
+_KEY_TYPES = get_type_hints(RunConfig)
 _KEY_ALIASES = {"M": "m", "K": "k"}
-_VALID_KEYS = {f.name for f in fields(RunConfig)}
 
 
 def _parse_value(key: str, raw: str, line_no: int):
+    "The value of a key as its RunConfig field is annotated: int, tuple of ints, else float."
     try:
-        if key in _INT_TUPLE_KEYS:
+        if _KEY_TYPES[key] == tuple[int, ...]:
             return tuple(int(part.strip()) for part in raw.split(",") if part.strip())
-        if key in _INT_KEYS:
+        if _KEY_TYPES[key] is int:
             return int(raw)
         value = float(raw)
     except ValueError as exc:
@@ -275,7 +279,7 @@ def parse_config_text(text: str) -> RunConfig:
             raise ConfigError("expected 'key = value'", line=line_no)
         key, raw = (part.strip() for part in stripped.split("=", 1))
         key = _KEY_ALIASES.get(key, key)
-        if key not in _VALID_KEYS:
+        if key not in _KEY_TYPES:
             raise ConfigError("unknown configuration key", key=key, line=line_no)
         if key in values:
             raise ConfigError("duplicate configuration key", key=key, line=line_no)

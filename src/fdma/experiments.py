@@ -222,7 +222,9 @@ def _run_jobs(jobs: list[_Job], f0: float, sa_cfg: AnnealerConfig,
     With more than one worker (`job_workers`) the jobs run in a pool of
     forked processes, the longest expected first, so the longest job does
     not start last.  Fork, not spawn: a spawned worker re-imports numpy and
-    scipy, which costs about as long as a small sweep takes.  The first job
+    fdma, which costs about as long as a small sweep takes.  When a job
+    solves in closed form, scipy.linalg is imported here before the fork, so
+    the workers inherit it rather than each importing it.  The first job
     to raise cancels the jobs not yet started and is re-raised here; no
     worker outlives the call.
     """
@@ -236,6 +238,8 @@ def _run_jobs(jobs: list[_Job], f0: float, sa_cfg: AnnealerConfig,
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor, as_completed
 
+    if any(job.kind in _PHASES and job.kind not in SA_KINDS for job in jobs):
+        import scipy.linalg  # noqa: F401 - for the workers' solve_ridge to inherit
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
     try:
         futures = [None] * len(jobs)

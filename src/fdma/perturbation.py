@@ -26,11 +26,10 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .model import ArrayDesign, Scenario
-from .scenario import BaselineParams, centered_indices
-from .annealing import _check_alternation, alternate, cost
+from .scenario import BaselineParams, centered_indices, fits_aperture, meets_min_spacing
+from .annealing import _check_alternation, alternate, cost, reconstruct_positions
 
 
 class SingularSystemError(ValueError):
@@ -116,18 +115,6 @@ def _block(scenario: Scenario, params: BaselineParams, phase: str, held: np.ndar
     return (2.0 * np.pi / c) * terms, slopes
 
 
-def position_phase(m: int, k: int, scenario: Scenario, params: BaselineParams,
-                   freq_shifts: np.ndarray, f0: float) -> float:
-    "Scalar entry of the position-system phase matrix (0-based m, k)."
-    return float(_block(scenario, params, "positions", freq_shifts, f0)[0][k, m])
-
-
-def frequency_phase(m: int, k: int, scenario: Scenario, params: BaselineParams,
-                    positions: np.ndarray, f0: float) -> float:
-    "Scalar entry of the frequency-system phase matrix (0-based m, k)."
-    return float(_block(scenario, params, "shifts", positions, f0)[0][k, m])
-
-
 def _nulling_system(scenario: Scenario, phases: np.ndarray,
                     slopes: np.ndarray) -> NullingSystem:
     "Rows slope_k sin(phase_km), targets sum_m cos(phase_km), weights w_k / M."
@@ -164,6 +151,9 @@ def solve_ridge(system: NullingSystem, ridge: float) -> np.ndarray:
     positive-definite factorization.  With ridge zero the normal matrix has
     rank at most K < M and the solve fails with SingularSystemError.
     """
+    # Imported here, not at module level: only closed-form runs pay for scipy.linalg.
+    from scipy.linalg import cho_factor, cho_solve
+
     if ridge < 0.0:
         raise ValueError("ridge must be non-negative")
     a, q = system.a, system.q_diag
@@ -181,30 +171,26 @@ def apply_position_perturbation(design: ArrayDesign, delta_x: np.ndarray,
 
     Constraint violations are clipped rather than rejected, and the number
     of adjustments is returned so that non-minor perturbations stay
-    visible.  Spacings below the minimum are pushed back up; if the span
-    then overflows the aperture, the spacing excesses are shrunk affinely
-    and the span is recentred; a span that merely sits off-centre past an
-    aperture edge is translated back inside.
+    visible.  Spacings that fail `meets_min_spacing` are pushed back up to
+    the minimum; if the span then fails `fits_aperture`, the spacing
+    excesses are shrunk affinely and the array is recentred as the annealer
+    recentres it; a span that merely sits off-centre past an aperture edge
+    is translated back inside.
     """
-    delta_x = np.asarray(delta_x, dtype=float)
-    raw = design.positions + delta_x
+    raw = design.positions + np.asarray(delta_x, dtype=float)
     adjusted = raw.copy()
     clipped = 0
     for m in range(1, raw.size):
-        floor = adjusted[m - 1] + params.min_spacing
-        if raw[m] < floor:
-            adjusted[m] = floor
+        if not meets_min_spacing(raw[m] - adjusted[m - 1], params.min_spacing):
+            adjusted[m] = adjusted[m - 1] + params.min_spacing
             clipped += 1
     half_width = params.aperture_half_width
-    span = adjusted[-1] - adjusted[0] if adjusted.size > 1 else 0.0
-    if span > 2.0 * half_width:
-        d = np.diff(adjusted)
-        slack = 2.0 * half_width - (d.size * params.min_spacing)
-        excess = np.maximum(d - params.min_spacing, 0.0)
+    if not fits_aperture(adjusted[-1] - adjusted[0], half_width):
+        excess = np.maximum(np.diff(adjusted) - params.min_spacing, 0.0)
+        slack = 2.0 * half_width - (excess.size * params.min_spacing)
         scale = slack / excess.sum() if excess.sum() > 0 else 0.0
-        d = params.min_spacing + scale * excess
         clipped += int(np.count_nonzero(excess > 0))
-        adjusted = -d.sum() / 2.0 + np.concatenate(([0.0], np.cumsum(d)))
+        adjusted = reconstruct_positions(params.min_spacing + scale * excess, half_width)
     elif adjusted[-1] > half_width:
         adjusted -= adjusted[-1] - half_width
         clipped += 1

@@ -10,6 +10,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -71,6 +72,11 @@ trials = 2
 sa_iterations = 400
 sa_rounds = 2
 """
+
+
+# Three canonical adversaries against three antennas: a positive ramp keeps
+# E1 in front of the array, so only the K < M rule rejects it.
+TOO_FEW_ANTENNAS = "f0_hz = 30e9\nm = 3\nk = 3\ndelta_f_hz = 1e6\n"
 
 
 def run_cli(args, cwd):
@@ -167,6 +173,14 @@ def _cell(value) -> str:
     if isinstance(value, (float, np.floating)):
         return _fmt(value)
     return str(value)
+
+
+def test_import_leaves_out_scipy_linalg():
+    # Only the closed-form solver needs scipy.linalg, and it imports it itself.
+    child = subprocess.run([sys.executable, "-c",
+                            "import sys, fdma.cli; print('scipy.linalg' in sys.modules)"],
+                           env=cli_env(), capture_output=True, text=True, check=True)
+    assert child.stdout.split() == ["False"]
 
 
 class TestCsvWriter:
@@ -363,6 +377,39 @@ class TestConfigParsing:
         assert "cooling_factor must lie in (0, 1)" in record["message"]
         assert not out.exists()
 
+    def test_int_fields_parse_as_ints(self):
+        # The parser reads each key's type from RunConfig's annotations, so a
+        # new int key cannot be parsed as a float.
+        hints = typing.get_type_hints(RunConfig)
+        int_fields = [field for field in dataclasses.fields(RunConfig)
+                      if hints[field.name] in (int, tuple[int, ...])]
+        assert len(int_fields) == 10
+        for field in int_fields:
+            is_tuple = isinstance(field.default, tuple)
+            text = ", ".join(map(str, field.default)) if is_tuple else str(field.default)
+            parsed = getattr(parse_config_text(f"f0_hz = 30e9\n{field.name} = {text}"),
+                             field.name)
+            assert parsed == field.default and type(parsed) is type(field.default)
+            assert {type(v) for v in (parsed if is_tuple else (parsed,))} == {int}, field.name
+
+    def test_adversaries_not_fewer_than_antennas_rejected(self):
+        # The optimizers' K < M rule, checked at parse on the canonical scenario.
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(TOO_FEW_ANTENNAS)
+        assert err.value.key == "m, k"
+        assert "need fewer eavesdroppers than antennas" in str(err.value)
+
+    def test_command_reports_too_few_antennas_before_running(self, tmp_path, capsys):
+        # This used to parse, and optimize then failed with a ValueError naming no key.
+        config = tmp_path / "small.cfg"
+        config.write_text(TOO_FEW_ANTENNAS)
+        out = tmp_path / "out"
+        assert main(["--config", str(config), "--out", str(out),
+                     "optimize", "--method", "perturb"]) == 1
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "ConfigError" and record["key"] == "m, k"
+        assert not out.exists()
+
     def test_uppercase_aliases(self):
         cfg = parse_config_text("f0_hz = 30e9\nM = 13\nK = 2")
         assert cfg.m == 13 and cfg.k == 2
@@ -399,6 +446,9 @@ class TestConfigParsing:
         "f0_hz = 30e9\nm = 4\nk = 0",  # beampattern and optimize place no adversary
         "f0_hz = 30e9\nk = 5",  # checked when beampattern or optimize runs
         "f0_hz = 15.0001e9",  # the stock ramp's 15 MHz at M = 31 just fits
+        # meets_min_spacing's relative slack, which BaselineParams applies too
+        f"f0_hz = 30e9\ndelta_d_over_lambda = {0.5 * (1 - 1e-12)!r}",
+        TOO_FEW_ANTENNAS.replace("k = 3", "k = 0"),  # no adversary to outnumber
     ])
     def test_configs_that_still_parse(self, text):
         parse_config_text(text)

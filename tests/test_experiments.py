@@ -3,6 +3,8 @@ import hashlib
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -19,7 +21,7 @@ from fdma.perturbation import PerturbConfig
 from fdma.scenario import BaselineParams, GridSpec, LinkBudgetConfig, \
     default_baseline_params, make_cpa, make_linear_fda, place_canonical_eves
 
-from conftest import F0, default_grid, random_design, random_placement
+from conftest import F0, cli_env, default_grid, random_design, random_placement
 
 LAM = wavelength(F0)
 
@@ -307,6 +309,30 @@ def test_pool_records_equal_serial_records(mixed_jobs, serial_records, one_cpu, 
     assert records == [serial_records[job.label] for job in jobs]
     assert all(record.seconds > 0.0 for record in records)
     assert multiprocessing.active_children() == []
+
+
+# A pooled sweep with a closed-form job, in a fresh interpreter: whether
+# scipy.linalg is loaded before the sweep and after it.
+POOLED_OPT2_SWEEP = """
+import sys
+from fdma.config import RunConfig
+from fdma.experiments import ConfigurationKind, sweep_vs_num_antennas
+cfg = RunConfig(f0_hz=30e9)
+before = 'scipy.linalg' in sys.modules
+sweep_vs_num_antennas(cfg.base_scenario(), [5], (ConfigurationKind.CPA,
+                      ConfigurationKind.FDMA_OPT2), cfg.link_budget(), cfg.f0_hz,
+                      cfg.annealer(), cfg.perturber(), 1, baseline_params=cfg.baseline_params)
+print(before, 'scipy.linalg' in sys.modules)
+"""
+
+
+@pytest.mark.skipif(fdma.experiments.available_cpus() < 2, reason="needs a pool of two")
+def test_pool_parent_imports_the_closed_form_solver():
+    # Imported once before the fork, the solver's module is inherited by every
+    # worker instead of being imported by each of them.
+    child = subprocess.run([sys.executable, "-c", POOLED_OPT2_SWEEP], env=cli_env(),
+                           capture_output=True, text=True, check=True)
+    assert child.stdout.split() == ["False", "True"]
 
 
 def test_baseline_only_sweep_runs_in_process(base_scenario, link_mod, monkeypatch):

@@ -3,17 +3,18 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from fdma.annealing import cost
+from fdma.annealing import cost, reconstruct_positions
 from fdma.model import ArrayDesign, Scenario, SPEED_OF_LIGHT, beampattern, \
     wavelength
 from fdma.perturbation import NullingSystem, PerturbConfig, SingularSystemError, \
     alternate_perturb, apply_frequency_perturbation, apply_position_perturbation, \
     build_frequency_system, build_position_system, default_ridge, \
-    first_order_beampattern, frequency_phase, position_phase, solve_ridge
-from fdma.scenario import centered_indices, default_baseline_params, make_cpa, \
-    make_linear_fda, make_placement, place_canonical_eves
+    first_order_beampattern, solve_ridge, _block
+from fdma.scenario import SPAN_SLACK, centered_indices, default_baseline_params, \
+    fits_aperture, make_cpa, make_linear_fda, make_placement, meets_min_spacing, \
+    place_canonical_eves
 
 from conftest import F0
 
@@ -50,23 +51,30 @@ def params_module():
     return default_baseline_params(21, F0, SPEED_OF_LIGHT)
 
 
+def position_phases(scenario, params, freq_shifts):
+    "The position system's K x M phase matrix."
+    return _block(scenario, params, "positions", freq_shifts, F0)[0]
+
+
+def frequency_phases(scenario, params, positions):
+    "The frequency system's K x M phase matrix."
+    return _block(scenario, params, "shifts", positions, F0)[0]
+
+
 class TestPhaseTerms:
     def test_colocated_eve_has_zero_phase(self, bob_module, params_module):
         scenario = scenario_with(bob_module, [bob_module])
         shifts = make_linear_fda(21, params_module, F0).freq_shifts
-        for m in (0, 10, 20):
-            assert position_phase(m, 0, scenario, params_module, shifts, F0) == 0.0
-            positions = make_cpa(21, params_module, F0).positions
-            assert frequency_phase(m, 0, scenario, params_module, positions, F0) == 0.0
+        positions = make_cpa(21, params_module, F0).positions
+        assert np.all(position_phases(scenario, params_module, shifts) == 0.0)
+        assert np.all(frequency_phases(scenario, params_module, positions) == 0.0)
 
     def test_odd_symmetry_at_baseline(self, canonical, params_module):
         shifts = make_linear_fda(21, params_module, F0).freq_shifts
         positions = make_cpa(21, params_module, F0).positions
-        for k in range(3):
-            phi = np.array([position_phase(m, k, canonical, params_module, shifts, F0)
-                            for m in range(21)])
-            var = np.array([frequency_phase(m, k, canonical, params_module, positions, F0)
-                            for m in range(21)])
+        phis = position_phases(canonical, params_module, shifts)
+        vars_ = frequency_phases(canonical, params_module, positions)
+        for phi, var in zip(phis, vars_):
             np.testing.assert_allclose(phi, -phi[::-1], atol=1e-9)
             np.testing.assert_allclose(var, -var[::-1], atol=1e-9)
             # the carrier's sine sum then cancels exactly at the baseline
@@ -80,8 +88,7 @@ class TestPhaseTerms:
         scenario = scenario_with(bob_module, [eve])
         shifts = np.array([3e6, -1e6, 2e6])
         small = default_baseline_params(3, F0, SPEED_OF_LIGHT)
-        for m in range(3):
-            got = position_phase(m, 0, scenario, small, shifts, F0)
+        for m, got in enumerate(position_phases(scenario, small, shifts)[0]):
             expected = (2.0 * math.pi / SPEED_OF_LIGHT) * shifts[m] * (-25.0)
             assert abs(got - expected) < 1e-12 * abs(expected)
 
@@ -93,8 +100,7 @@ class TestPhaseTerms:
         positions = np.array([-0.01, 0.002, 0.011])
         small = default_baseline_params(3, F0, SPEED_OF_LIGHT)
         dcos = math.cos(eve.angle_rad) - math.cos(bob_module.angle_rad)
-        for m in range(3):
-            got = frequency_phase(m, 0, scenario, small, positions, F0)
+        for m, got in enumerate(frequency_phases(scenario, small, positions)[0]):
             expected = (2.0 * math.pi / SPEED_OF_LIGHT) * F0 * positions[m] * dcos
             assert abs(got - expected) < 1e-12 * abs(expected)
 
@@ -251,6 +257,60 @@ class TestApplyPerturbations:
         assert clipped == 1
         d = np.diff(design.positions)
         assert np.all(d >= params_module.min_spacing - 1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), m=st.integers(2, 32))
+    def test_clipped_design_meets_the_box_rules(self, data, m):
+        params = default_baseline_params(m, F0, SPEED_OF_LIGHT)
+        delta = np.array(data.draw(st.lists(st.floats(-20.0, 20.0), min_size=m,
+                                            max_size=m))) * LAM
+        design, clipped = apply_position_perturbation(make_linear_fda(m, params, F0), delta,
+                                                      params)
+        positions, half_width = design.positions, params.aperture_half_width
+        assert np.all(meets_min_spacing(np.diff(positions), params.min_spacing))
+        assert fits_aperture(positions[-1] - positions[0], half_width)
+        # A span within the aperture's slack is translated, not shrunk, so its far
+        # end may overhang the edge by that slack, 2 x half_width x SPAN_SLACK.
+        assert np.all(np.abs(positions) <= half_width * (1.0 + 2.0 * SPAN_SLACK))
+        assert clipped <= 2 * (m - 1)
+
+    def test_overflowing_span_shrunk_and_centred(self, params_module):
+        baseline = make_linear_fda(21, params_module, F0)
+        # Stretch every spacing from 0.75 to 2.75 wavelengths: a 55-wavelength
+        # span against the 42-wavelength aperture.
+        delta = centered_indices(21) * 2.0 * LAM
+        design, clipped = apply_position_perturbation(baseline, delta, params_module)
+        half_width = params_module.aperture_half_width
+        assert clipped == 20
+        np.testing.assert_allclose(
+            design.positions, reconstruct_positions(np.diff(design.positions), half_width),
+            rtol=0.0, atol=1e-12 * half_width)
+        assert design.positions[-1] - design.positions[0] == pytest.approx(2.0 * half_width)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["right", "left"])
+    def test_span_past_an_edge_translated(self, params_module, sign):
+        baseline = make_linear_fda(21, params_module, F0)
+        # The 15-wavelength span moved 15 wavelengths off centre crosses the
+        # edge at 21 wavelengths by 1.5.
+        design, clipped = apply_position_perturbation(
+            baseline, np.full(21, sign * 15.0 * LAM), params_module)
+        assert clipped == 1
+        np.testing.assert_allclose(np.diff(design.positions), np.diff(baseline.positions),
+                                   rtol=1e-12)
+        edge = design.positions[-1] if sign > 0 else -design.positions[0]
+        assert edge == pytest.approx(params_module.aperture_half_width, rel=1e-15)
+
+    def test_span_within_the_slack_translated_not_shrunk(self):
+        params = default_baseline_params(3, F0, SPEED_OF_LIGHT)
+        half_width = params.aperture_half_width
+        span = 2.0 * half_width * (1.0 + 0.8 * SPAN_SLACK)
+        target = np.array([half_width + 0.1 * LAM - span, 0.0, half_width + 0.1 * LAM])
+        baseline = make_linear_fda(3, params, F0)
+        design, clipped = apply_position_perturbation(baseline, target - baseline.positions,
+                                                      params)
+        assert clipped == 1
+        assert design.positions[-1] == pytest.approx(half_width, rel=1e-15)
+        assert -design.positions[0] > half_width * (1.0 + SPAN_SLACK)
 
     def test_frequency_clip_counted(self, params_module):
         baseline = make_linear_fda(21, params_module, F0)
