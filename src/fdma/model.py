@@ -206,8 +206,12 @@ def beampattern_batch(design: ArrayDesign, ranges_m: np.ndarray,
     as (range, cos(angle)); probes need not satisfy Placement invariants,
     which makes this suitable for rastering arbitrary grids.
     """
-    return _eta(design.positions, design.frequencies / c,
-                np.asarray(ranges_m, dtype=float), np.asarray(cos_angles, dtype=float), bob)
+    ranges, cosines = np.asarray(ranges_m, dtype=float), np.asarray(cos_angles, dtype=float)
+    # Near-equal row blocks below OpenBLAS's 4,096-entry threading size stay on this thread.
+    blocks = max(1, -(-ranges.size // max(1, 4095 // design.num_antennas)))
+    bounds = [ranges.size * b // blocks for b in range(blocks + 1)]
+    return np.concatenate([_eta(design.positions, design.frequencies / c, ranges[i:j],
+                                cosines[i:j], bob) for i, j in zip(bounds, bounds[1:])])
 
 
 def eve_gains(scenario: Scenario, positions: np.ndarray, shifts: np.ndarray,

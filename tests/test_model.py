@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from fdma.annealing import cost
 from fdma.model import ArrayDesign, Placement, Scenario, SPEED_OF_LIGHT, beampattern, \
     beampattern_batch, channel, eve_gains, eve_snrs, mrt_beamformer, snr_bob, snr_eve, \
-    steering_vector, wavelength, worst_case_secrecy_rate
+    steering_vector, wavelength, worst_case_secrecy_rate, _eta
 from fdma.scenario import LinkBudgetConfig, default_baseline_params, make_cpa
 
 from conftest import F0, random_design, random_placement
@@ -156,6 +156,20 @@ class TestBeampattern:
         batch = beampattern_batch(design, np.array([probe.range_m]),
                                   np.array([math.cos(probe.angle_rad)]), bob)[0]
         assert abs(scalar - batch) < 1e-9
+
+    @pytest.mark.parametrize("m,probes", [(21, 300), (21, 391), (21, 1000), (64, 1000)])
+    def test_blocks_match_one_call(self, bob, m, probes):
+        # Probes go through the kernel in row blocks; the result keeps the bits
+        # of one product over all of them.  At M = 21, 391 probes in blocks of
+        # 195 would leave one lone row, whose one-row product takes numpy's dot
+        # path and differs in the last bits, so the blocks are near-equal.
+        rng = np.random.default_rng(19)
+        design = random_design(rng, m)
+        ranges = rng.uniform(1.0, 400.0, size=probes)
+        cosines = np.cos(rng.uniform(0.01, math.pi - 0.01, size=probes))
+        whole = _eta(design.positions, design.frequencies / SPEED_OF_LIGHT, ranges, cosines, bob)
+        np.testing.assert_array_equal(beampattern_batch(design, ranges, cosines, bob), whole)
+        assert beampattern_batch(design, np.array([]), np.array([]), bob).shape == (0,)
 
     def test_cpa_equal_range_arc_matches_dirichlet_kernel(self, bob):
         # Single-carrier uniform array probed along the equal-range arc: the
