@@ -18,7 +18,11 @@ order) and end-to-end metrics with their bounds come from BENCHMARK.json.
 Per workload and metric the summary gives each side's median and quartiles,
 how many pairs the change wins (ties count for neither side), the relative
 change of the median, the parent's interquartile range and whether the
-change's median is worse than the parent's by more than the bound.  With
+change's median is worse than the parent's by more than the bound.  It also
+gives the median and quartiles of change/parent within each pair
+(`pair_ratio`, leaving out pairs whose parent value is 0): both sides of a
+pair run minutes apart at most, so the ratio shows the code's own spread
+where the host's speed moves both sides together.  With
 --claim WORKLOAD:METRIC it also states whether that gain is shown: the
 change wins at least nine tenths of the pairs, the medians differ, in the
 better direction, by more than the parent's interquartile range, and the
@@ -123,6 +127,7 @@ def metric_summary(pairs: list[tuple[float, float]], better: str, bound: float) 
     wins = sum(sign * (c - p) < 0.0 for p, c in pairs)
     ties = sum(c == p for p, c in pairs)
     base = parent["median"]
+    ratios = [c / p for p, c in pairs if p]
     return {
         "better": better,
         "bound": bound,
@@ -132,6 +137,7 @@ def metric_summary(pairs: list[tuple[float, float]], better: str, bound: float) 
         "ties": ties,
         "pairs": len(pairs),
         "median_change_rel": (change["median"] - base) / base if base else 0.0,
+        "pair_ratio": quartiles(ratios) if ratios else None,
         "parent_iqr": parent["q3"] - parent["q1"],
         "worse_than_bound": sign * (change["median"] - base) > bound * abs(base),
     }
@@ -269,9 +275,11 @@ def main(argv=None) -> int:
             f"{entry['failed'][side]}/{entry['attempted'][side]}" for side in SIDES)
         for name, stats in entry.items():
             if isinstance(stats.get("parent"), dict) and "median" in stats["parent"]:
+                ratio = f"{stats['pair_ratio']['median']:.4g}" if stats["pair_ratio"] else "n/a"
                 print(f"{workload:7s} {name:12s} {stats['parent']['median']:12.6g} -> "
                       f"{stats['change']['median']:12.6g}  wins {stats['change_wins']}/"
                       f"{stats['pairs']}  worse_than_bound {stats['worse_than_bound']}"
+                      f"  pair ratio {ratio}"
                       f"{failed}")
     if "claim" in document:
         print("claim:", json.dumps(document["claim"]))

@@ -24,7 +24,7 @@ import platform
 import sys
 import time
 from collections.abc import Iterable, Iterator
-from itertools import repeat
+from itertools import chain, islice, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import TextIO
@@ -92,17 +92,109 @@ def _atomic_open(path: Path) -> Iterator[TextIO]:
         raise
 
 
-def _write_csv(path: Path, header: Iterable[str], fmt: str, rows: Iterable[tuple],
+def _write_csv(path: Path, header: Iterable[str], fmt: str, blocks: list[Iterable[tuple]],
                footer: dict | None = None) -> None:
-    """Header line, then one `fmt % row` line per row tuple, then `# key=value` footers.
+    """Header line, one `fmt % row` line per row of each block in order, then `# key=value` footers.
 
     fmt must match the column types: `%.17g` prints a float as `_fmt` does,
     `%d` an int or bool, `%s` a string; `%d` of a float would truncate it.
+
+    The calling process renders block 0.  Where the OS can fork, each later
+    block i renders in a child, forked before the output is opened, into
+    `<path>.<i>.tmp`; the parent then appends the parts in block order, so
+    the bytes do not depend on how the rows are split.  A failure in any
+    block kills and reaps the children, removes every temporary file and is
+    raised here as the failing block's exception.
     """
-    with _atomic_open(path) as handle:
-        handle.write(",".join(header) + "\n")
-        handle.writelines(map((fmt + "\n").__mod__, rows))
-        handle.writelines(f"# {key}={_fmt(value)}\n" for key, value in (footer or {}).items())
+    # Imported here, as pickle is in the helpers, so that fdma.cli's
+    # module-level imports stay as they were; numpy has loaded all three.
+    import shutil
+    import signal
+
+    render = (fmt + "\n").__mod__
+    own, forked = (blocks[:1], blocks[1:]) if hasattr(os, "fork") else (blocks, [])
+    parts = [path.with_name(f"{path.name}.{i}.tmp") for i in range(1, len(forked) + 1)]
+    pids, pipes = [], []  # children not yet reaped; every error pipe opened
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        for rows, part in zip(forked, parts):
+            pid, pipe = _fork_part(rows, render, part)
+            pids.append(pid)
+            pipes.append(pipe)
+        with _atomic_open(path) as handle:
+            handle.write(",".join(header) + "\n")
+            handle.writelines(map(render, chain.from_iterable(own)))
+            handle.flush()  # the parts are copied into the byte buffer beneath
+            for pipe, part in zip(pipes, parts):
+                failure = _join_part(pids[0], pipe)
+                del pids[0]
+                if failure is not None:
+                    raise failure
+                with open(part, "rb") as source:
+                    shutil.copyfileobj(source, handle.buffer)
+            handle.writelines(f"# {key}={_fmt(value)}\n" for key, value in (footer or {}).items())
+    finally:
+        for pid in pids:  # still running only when a block failed
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for pipe in pipes:
+            os.close(pipe)
+        for part in parts:
+            part.unlink(missing_ok=True)
+
+
+def _fork_part(rows: Iterable[tuple], render, part: Path) -> tuple[int, int]:
+    """Fork a child that writes `render(row)` for each row to part; returns its pid and pipe.
+
+    The pipe is the read end of the child's error channel.  The child never
+    returns into the caller's stack: it leaves through os._exit, with
+    status 0 once part is complete, and otherwise with status 1 after
+    sending its pickled exception down the pipe.
+    """
+    import pickle
+
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write_end)
+        return pid, read_end
+    status = 1
+    try:
+        os.close(read_end)
+        with open(part, "w", encoding="utf-8", newline="\n") as handle:
+            handle.writelines(map(render, rows))
+        status = 0
+    except BaseException as exc:
+        with contextlib.suppress(BaseException), open(write_end, "wb") as channel:
+            pickle.dump(exc, channel)
+    finally:
+        os._exit(status)
+
+
+def _join_part(pid: int, pipe: int) -> BaseException | None:
+    "Wait for a `_fork_part` child; None if it wrote its part, else the exception it sent."
+    import pickle
+
+    with open(pipe, "rb", closefd=False) as channel:
+        payload = channel.read()
+    _, status = os.waitpid(pid, 0)
+    if not payload and status == 0:
+        return None
+    try:
+        return pickle.loads(payload)
+    except Exception:  # noqa: BLE001 - an exception that did not survive pickling
+        return ChildProcessError(f"row block worker {pid} failed with wait status {status}")
+
+
+def _split_rows(count: int) -> list[slice]:
+    """Contiguous near-equal slices of range(count), one per CPU this process may use.
+
+    Never more slices than rows, and at least one, so the CSV writer forks
+    one child per slice after the first (`_write_csv`).
+    """
+    parts = max(1, min(available_cpus(), count))
+    edges = [count * i // parts for i in range(parts + 1)]
+    return [slice(start, stop) for start, stop in zip(edges, edges[1:])]
 
 
 def _write_json(path: Path, obj) -> None:
@@ -193,16 +285,18 @@ def cmd_beampattern(cfg: RunConfig, kind: ConfigurationKind, out_dir: Path) -> N
     grid = cfg.grid()
     y_text = ["%.17g" % y for y in grid.y_points().tolist()]
 
-    def rows() -> Iterator[tuple]:
+    def rows(columns: slice) -> Iterator[tuple]:
         # Each column is written as soon as it is computed, so memory stays
-        # bounded by one column whatever the grid size.
+        # bounded by one column per process whatever the grid size.  Only the
+        # calling process's block reaches this clock.
         clock.lap("write")
-        for x, _, power_db in raster_columns(scenario, design, grid):
+        for x, _, power_db in raster_columns(scenario, design, grid, columns):
             clock.lap("raster")
             yield from zip(repeat("%.17g" % x), y_text, power_db.tolist())
             clock.lap("write")
 
-    _write_csv(out_dir / "raster.csv", ["x_m", "y_m", "power_db"], "%s,%s,%.17g", rows())
+    blocks = [rows(columns) for columns in _split_rows(grid.x_points().size)]
+    _write_csv(out_dir / "raster.csv", ["x_m", "y_m", "power_db"], "%s,%s,%.17g", blocks)
     _write_json(out_dir / "design.json", _design_document(design, cfg.speed_of_light))
     clock.lap("write")
     _write_manifest(out_dir, f"beampattern/{kind.value}", cfg,
@@ -229,7 +323,7 @@ def cmd_sweep(cfg: RunConfig, axis: str, out_dir: Path) -> None:
     clock.lap("sweep")
     _write_csv(out_dir / "sweep.csv",
                ["sweep_value", "configuration", "secrecy_rate", "seed", "trial"],
-               "%d,%s,%.17g,%d,%d", rows)
+               "%d,%s,%.17g,%d,%d", [rows])
     clock.lap("write")
     jobs = [{"label": rec.label, "seconds": rec.seconds} for rec in records]
     _write_manifest(out_dir, f"sweep-{axis}", cfg, ["sweep.csv"], clock,
@@ -237,18 +331,24 @@ def cmd_sweep(cfg: RunConfig, axis: str, out_dir: Path) -> None:
                      "jobs": jobs})
 
 
-def _sa_trace_rows(trace: list) -> Iterator[tuple]:
-    """The IterationRecords of trace with best_cost as `%.17g` text, each value formatted once.
+def _sa_trace_blocks(trace: list) -> list[Iterator[tuple]]:
+    """Row blocks (`_split_rows`) of trace's IterationRecords, best_cost as `%.17g` text.
 
-    best_cost changes only when a chain improves on it: a stock trace holds
-    about 170 distinct values in 40,000 rows.  Costs are sums of non-negative
-    SNRs, so no -0.0 shares a key with 0.0.  The rows are built as they are
-    written, so no copy of the trace is held.
+    Each distinct best_cost is formatted once: it changes only when a chain
+    improves on it, and a stock trace holds about 170 distinct values in
+    40,000 rows.  Costs are sums of non-negative SNRs, so no -0.0 shares a
+    key with 0.0.  The rows are built as they are written, from index
+    ranges of the trace, so no copy of it is held.
     """
     best_cost = itemgetter(4)
     text = {value: "%.17g" % value for value in set(map(best_cost, trace))}
-    columns = (map(itemgetter(i), trace) for i in range(4))
-    return zip(*columns, map(text.__getitem__, map(best_cost, trace)))
+
+    def rows(span: slice) -> Iterator[tuple]:
+        columns = (map(itemgetter(i), islice(trace, span.start, span.stop)) for i in range(4))
+        best = map(best_cost, islice(trace, span.start, span.stop))
+        return zip(*columns, map(text.__getitem__, best))
+
+    return [rows(span) for span in _split_rows(len(trace))]
 
 
 def cmd_optimize(cfg: RunConfig, method: str, out_dir: Path) -> None:
@@ -262,9 +362,9 @@ def cmd_optimize(cfg: RunConfig, method: str, out_dir: Path) -> None:
                                     cfg.annealer(), cfg.perturber(), trace=trace)
     final_cost = cost(scenario, design)
     clock.lap("optimize")
-    record, fmt, rows = ((IterationRecord, "%d,%.17g,%.17g,%d,%s", _sa_trace_rows(trace))
-                         if method == "sa" else (RoundRecord, "%d,%s,%.17g,%d", trace))
-    _write_csv(out_dir / "trace.csv", record._fields, fmt, rows,
+    record, fmt, blocks = ((IterationRecord, "%d,%.17g,%.17g,%d,%s", _sa_trace_blocks(trace))
+                           if method == "sa" else (RoundRecord, "%d,%s,%.17g,%d", [trace]))
+    _write_csv(out_dir / "trace.csv", record._fields, fmt, blocks,
                footer={"initial_cost": initial_cost, "final_cost": final_cost})
     _write_json(out_dir / "design.json", _design_document(design, cfg.speed_of_light))
     clock.lap("write")
@@ -281,7 +381,7 @@ def cmd_compare(cfg: RunConfig, design_a: str, design_b: str, out_dir: Path) -> 
     clock.lap("compare")
     _write_csv(out_dir / "compare.csv",
                ["antenna", "pos_a_lambda", "pos_b_lambda", "shift_a_mhz", "shift_b_mhz"],
-               "%d,%.17g,%.17g,%.17g,%.17g", records)
+               "%d,%.17g,%.17g,%.17g,%.17g", [records])
     clock.lap("write")
     _write_manifest(out_dir, "compare", cfg, ["compare.csv"], clock)
 

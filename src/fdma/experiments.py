@@ -154,18 +154,21 @@ def configuration_rate(kind: ConfigurationKind, scenario: Scenario,
     return worst_case_secrecy_rate(scenario, design)
 
 
-def raster_columns(scenario: Scenario, design: ArrayDesign,
-                   grid: GridSpec) -> Iterator[tuple[float, np.ndarray, np.ndarray]]:
+def raster_columns(scenario: Scenario, design: ArrayDesign, grid: GridSpec,
+                   columns: slice = slice(None)
+                   ) -> Iterator[tuple[float, np.ndarray, np.ndarray]]:
     """Normalized beampattern power over a Cartesian grid, one x column at a time.
 
-    Yields (x, ys, power_db) for each grid x in increasing order: ys holds
-    the grid's y points and power_db the power in dB at (x, ys).  Only one
-    column's phase matrices are held at a time.  The power is exactly 0 dB
-    at the intended receiver and never positive elsewhere.
+    Yields (x, ys, power_db) for each x of `grid.x_points()[columns]` in
+    increasing order: ys holds the grid's y points and power_db the power in
+    dB at (x, ys).  A column's values do not depend on which columns are
+    asked for, so blocks of columns concatenate to the whole grid bit for
+    bit.  Only one column's phase matrices are held at a time.  The power is
+    exactly 0 dB at the intended receiver and never positive elsewhere.
     """
     ys = grid.y_points()
     norm = design.num_antennas ** 2
-    for x in grid.x_points().tolist():
+    for x in grid.x_points()[columns].tolist():
         ranges = np.hypot(x, ys)
         cosines = np.where(ranges > 0.0, x / np.where(ranges > 0, ranges, 1.0), 0.0)
         etas = beampattern_batch(design, ranges, cosines, scenario.bob,

@@ -47,6 +47,35 @@ class TestClaimVerdict:
         assert not bench_pairs.claim_verdict(summary, "anneal", "wall_s")["met"]
 
 
+class TestPairRatio:
+    def test_ratio_shows_what_host_speed_hides(self):
+        # The host's speed doubles halfway through, moving both sides of a
+        # pair together: the parent's IQR is about as wide as the whole gap,
+        # but within every pair the change takes 0.8 of the parent's time.
+        pairs = [(scale, 0.8 * scale) for scale in [1.0] * 5 + [2.0] * 5]
+        stats = bench_pairs.metric_summary(pairs, "lower", 0.24)
+        assert stats["parent_iqr"] == pytest.approx(1.0)
+        assert stats["pair_ratio"] == {"median": pytest.approx(0.8), "q1": pytest.approx(0.8),
+                                       "q3": pytest.approx(0.8), "n": 10}
+
+    def test_quartiles_of_uneven_ratios(self):
+        stats = bench_pairs.metric_summary([(1.0, 0.5), (2.0, 1.5), (4.0, 4.0), (1.0, 2.0)],
+                                           "higher", 0.24)
+        assert stats["pair_ratio"] == {"median": 0.875, "q1": 0.6875, "q3": 1.25, "n": 4}
+
+    def test_zero_parent_values_are_left_out(self):
+        assert bench_pairs.metric_summary([(0.0, 1.0), (2.0, 1.0)], "lower",
+                                          0.24)["pair_ratio"]["n"] == 1
+        assert bench_pairs.metric_summary([(0.0, 1.0)], "lower", 0.24)["pair_ratio"] is None
+
+    def test_claim_verdict_ignores_the_ratio(self):
+        summary = bench_pairs.summarize(runs(0), SPEC)
+        stats = summary["anneal"]["wall_s"]
+        assert 0.7 < stats["pair_ratio"]["median"] < 0.72
+        verdict = bench_pairs.claim_verdict(summary, "anneal", "wall_s")
+        assert "pair_ratio" not in verdict and verdict["met"]
+
+
 # Prints the size of its CPU affinity set as the run's JSON result line.
 AFFINITY_STUB = """\
 import json, os

@@ -19,7 +19,8 @@ import scipy
 from hypothesis import given, strategies as st
 
 import fdma.experiments
-from fdma.cli import _fmt, _write_csv, main
+import fdma.cli
+from fdma.cli import _fmt, _split_rows, _write_csv, main
 from fdma.config import ConfigError, RunConfig, parse_config_text
 from fdma.experiments import ALL_KINDS, ConfigurationKind, sweep_vs_num_antennas
 from fdma.model import SPEED_OF_LIGHT
@@ -127,6 +128,12 @@ def assert_manifest_telemetry(out, stages, cooling_factor=None, jobs=None):
     }
 
 
+def assert_no_child_processes():
+    "No child of this process is left, running or unreaped."
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def assert_annealer_summary(summary, trace_csv, alpha):
     "Iterations and acceptances per decade of T/T0 = alpha**t, recounted from the trace."
     t_freeze = 1
@@ -195,6 +202,11 @@ class TestCsvWriter:
     def test_matches_per_cell_reference(self, fmt, data):
         row = st.tuples(*(COLUMNS[spec] for spec in fmt.split(",")))
         rows = data.draw(st.lists(row, max_size=8))
+        # Rows split into up to three blocks, so the forked path is held to
+        # the same reference; empty blocks included.
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(rows)), max_size=2)))
+        edges = [0, *cuts, len(rows)]
+        blocks = [rows[start:stop] for start, stop in zip(edges, edges[1:])]
         footer = data.draw(st.dictionaries(st.sampled_from(["initial_cost", "final_cost"]),
                                            FLOATS))
         header = [f"c{i}" for i in range(fmt.count(",") + 1)]
@@ -203,16 +215,38 @@ class TestCsvWriter:
         lines += [f"# {key}={_fmt(value)}" for key, value in footer.items()]
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "t.csv"
-            _write_csv(path, header, fmt, rows, footer=footer)
+            _write_csv(path, header, fmt, blocks, footer=footer)
             assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+            assert os.listdir(tmp) == ["t.csv"]
 
     def test_failed_write_keeps_previous_file(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("old\n")
         with pytest.raises(TypeError):
-            _write_csv(path, ["n"], "%d", [(1,), ("not a number",)])
+            _write_csv(path, ["n"], "%d", [[(1,), ("not a number",)]])
         assert path.read_text() == "old\n"
         assert list(tmp_path.iterdir()) == [path]
+
+    def test_failed_forked_block_keeps_previous_file(self, tmp_path):
+        # The bad row is in the last block, which a child renders: its
+        # exception comes back to the caller and no part file is left.
+        path = tmp_path / "t.csv"
+        path.write_text("old\n")
+        with pytest.raises(TypeError, match="number is required"):
+            _write_csv(path, ["n"], "%d", [[(1,)], [(2,)], [(3,), ("not a number",)]])
+        assert path.read_text() == "old\n"
+        assert list(tmp_path.iterdir()) == [path]
+        assert_no_child_processes()
+
+    @pytest.mark.parametrize("count,cpus,lengths", [
+        (0, 2, [0]), (1, 7, [1]), (2, 7, [1, 1]), (5, 3, [1, 2, 2]), (21, 2, [10, 11]),
+        (21, 1, [21]),
+    ])
+    def test_split_rows(self, monkeypatch, count, cpus, lengths):
+        monkeypatch.setattr(fdma.cli, "available_cpus", lambda: cpus)
+        spans = _split_rows(count)
+        assert [len(range(count)[span]) for span in spans] == lengths
+        assert [i for span in spans for i in range(count)[span]] == list(range(count))
 
 
 class TestConfigParsing:
@@ -562,6 +596,54 @@ class TestBeampatternCommand:
         assert not (out / "raster.csv").exists()
         assert not (out / "raster.csv.tmp").exists()
 
+    # BASE_CONFIG's grid has 21 columns (x = 10, 12, ..., 50 m); three
+    # workers render x <= 22, 24..36 and 38..50 m, the last two in children.
+    @pytest.mark.parametrize("where", ["child", "parent"])
+    def test_failed_block_leaves_no_file_or_process(self, config_path, tmp_path, monkeypatch,
+                                                     capsys, where):
+        kernel = fdma.experiments.beampattern_batch
+        failing_x = 50.0 if where == "child" else 10.0
+
+        def failing_kernel(design, ranges, cosines, *args, **kwargs):
+            x = float(ranges[0] * cosines[0])
+            if abs(x - failing_x) < 1e-6:
+                raise ArithmeticError(f"kernel failed at x = {failing_x:g} m")
+            if where == "parent" and x > 23.0:
+                time.sleep(30.0)  # the children are still running when the parent fails
+            return kernel(design, ranges, cosines, *args, **kwargs)
+
+        monkeypatch.setattr(fdma.experiments, "beampattern_batch", failing_kernel)
+        monkeypatch.setattr(fdma.cli, "available_cpus", lambda: 3)
+        out = tmp_path / "out"
+        start = time.perf_counter()
+        assert main(["--config", str(config_path), "--out", str(out),
+                     "--kind", "CPA", "beampattern"]) == 1
+        assert time.perf_counter() - start < 15.0, "the children were waited for, not killed"
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record == {"error": "ArithmeticError",
+                          "message": f"kernel failed at x = {failing_x:g} m"}
+        assert list(out.glob("raster.csv*")) == []
+        assert_no_child_processes()
+
+    @pytest.mark.parametrize("columns", [1, 2, 5, 21])
+    def test_raster_bytes_do_not_depend_on_the_split(self, tmp_path, monkeypatch, columns):
+        config = tmp_path / "grid.cfg"
+        config.write_text(
+            "f0_hz = 30e9\nm = 9\nk = 3\n"
+            f"grid_x_min_m = 10\ngrid_x_max_m = {10 + 2 * columns - 1}\n"
+            "grid_y_min_m = 60\ngrid_y_max_m = 100\ngrid_resolution_m = 2\n")
+        rasters = {}
+        for cpus in (1, 2, 3, 7):
+            monkeypatch.setattr(fdma.cli, "available_cpus", lambda cpus=cpus: cpus)
+            out = tmp_path / f"cpus{cpus}"
+            assert main(["--config", str(config), "--out", str(out),
+                         "--kind", "LINEAR_FDA", "beampattern"]) == 0
+            rasters[cpus] = (out / "raster.csv").read_bytes()
+            assert not list(out.glob("*.tmp"))
+        assert rasters[1].count(b"\n") == 1 + columns * 21
+        assert all(raster == rasters[1] for raster in rasters.values())
+        assert_no_child_processes()
+
     def test_runs_where_the_os_has_no_affinity_set(self, config_path, tmp_path,
                                                    monkeypatch):
         # macOS has no os.sched_getaffinity: the manifest and the sweeps
@@ -682,6 +764,23 @@ class TestOptimizeCommand:
         assert lines[0] == "iteration,temperature,cost,accepted,best_cost"
         assert [line.split("=")[0] for line in lines[1:]] == ["# initial_cost",
                                                               "# final_cost"]
+
+    @pytest.mark.parametrize("m", [5, 21])
+    def test_sa_trace_bytes_do_not_depend_on_the_split(self, tmp_path, monkeypatch, m):
+        config = tmp_path / "sa.cfg"
+        config.write_text(f"f0_hz = 30e9\nm = {m}\nk = 3\nsa_iterations = 50\n"
+                          "sa_rounds = 1\n")
+        traces = {}
+        for cpus in (1, 2, 3, 7):
+            monkeypatch.setattr(fdma.cli, "available_cpus", lambda cpus=cpus: cpus)
+            out = tmp_path / f"cpus{cpus}"
+            assert main(["--config", str(config), "--out", str(out),
+                         "optimize", "--method", "sa"]) == 0
+            traces[cpus] = (out / "trace.csv").read_bytes()
+            assert not list(out.glob("*.tmp"))
+        assert traces[1].count(b"\n") == 1 + 2 * 50 + 2
+        assert all(trace == traces[1] for trace in traces.values())
+        assert_no_child_processes()
 
     def test_seed_flag_changes_design(self, config_path, tmp_path):
         docs = []

@@ -105,6 +105,23 @@ class TestRaster:
         expected = whole_grid_raster(scenario, design, grid)
         assert all(np.array_equal(u, v) for u, v in zip(flat_raster(columns), expected))
 
+    @given(grid=raster_grids(), cuts=st.lists(st.integers(0, 8), max_size=4))
+    def test_column_blocks_concatenate_to_one_pass(self, base_scenario, grid, cuts):
+        # The CLI renders contiguous blocks of columns in separate processes
+        # and joins their text, so the blocks must be one pass split up.
+        design = make_linear_fda(11, default_baseline_params(11, F0, SPEED_OF_LIGHT), F0)
+        whole = list(raster_columns(base_scenario, design, grid))
+        edges = sorted({0, len(whole), *(min(cut, len(whole)) for cut in cuts)})
+        joined = [column for start, stop in zip(edges, edges[1:])
+                  for column in raster_columns(base_scenario, design, grid,
+                                               slice(start, stop))]
+        assert [x for x, _, _ in joined] == grid.x_points().tolist()
+        assert len(joined) == len(whole)
+        for (x, ys, db), (x_ref, ys_ref, db_ref) in zip(joined, whole):
+            assert x == x_ref
+            assert ys.tobytes() == ys_ref.tobytes() and db.tobytes() == db_ref.tobytes()
+        assert list(raster_columns(base_scenario, design, grid, slice(1, 1))) == []
+
     def test_grid_aligned_receiver_cell_is_zero_db(self, bob_mod, link_mod):
         params = default_baseline_params(21, F0, SPEED_OF_LIGHT)
         eves = place_canonical_eves(21, bob_mod, params, link_mod, F0, SPEED_OF_LIGHT)
