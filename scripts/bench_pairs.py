@@ -22,9 +22,14 @@ change's median is worse than the parent's by more than the bound.  It also
 gives the median and quartiles of change/parent within each pair
 (`pair_ratio`, leaving out pairs whose parent value is 0): both sides of a
 pair run minutes apart at most, so the ratio shows the code's own spread
-where the host's speed moves both sides together.  With
---claim WORKLOAD:METRIC it also states whether that gain is shown: the
-change wins at least nine tenths of the pairs, the medians differ, in the
+where the host's speed moves both sides together.  Each run also records
+`cpu_s`, the user plus system CPU seconds of its benchmark process and of
+the children that process waited for; they leave out the time a run waits
+for a CPU that other processes hold.  A run lasts a fixed number of
+seconds, so the summary divides them by the run's attempted operations and
+gives each side's median and quartiles of that, with its pair ratio
+(`cpu_s_per_op`).  No verdict reads `pair_ratio` or `cpu_s_per_op`.  With --claim WORKLOAD:METRIC, METRIC an end-to-end metric, it
+also states whether that gain is shown: the change wins at least nine tenths of the pairs, the medians differ, in the
 better direction, by more than the parent's interquartile range, and the
 change's share of failed operations on that workload is no larger than the
 parent's.  Each side's failed/attempted count is printed next to the
@@ -41,6 +46,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import shutil
 import statistics
 import subprocess
@@ -84,9 +90,15 @@ def one_cpu() -> None:
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 
 
+def children_cpu_seconds() -> float:
+    "User plus system CPU seconds of the waited-for children of this process so far."
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
 def run_once(copy: Path, command: list[str], workload: str, seed: int, seconds: float,
              trace: int) -> dict:
-    """One benchmark process; returns its return code, environment line and last JSON line.
+    """One benchmark process: its return code, CPU seconds, environment line and last JSON line.
 
     A traced run is pinned to one CPU (`one_cpu`) where the OS has affinity sets.
     """
@@ -96,8 +108,10 @@ def run_once(copy: Path, command: list[str], workload: str, seed: int, seconds: 
             "--seconds", f"{seconds:g}", "--trace", str(trace)]
     started = time.time()
     pin = one_cpu if trace and hasattr(os, "sched_setaffinity") else None
+    cpu_before = children_cpu_seconds()
     proc = subprocess.run(argv, cwd=copy, env=env, capture_output=True, text=True,
                           preexec_fn=pin)
+    cpu_s = children_cpu_seconds() - cpu_before
     lines = proc.stdout.splitlines()
     run_env = next((json.loads(line[len("env:"):]) for line in lines
                     if line.startswith("env:")), None)
@@ -109,7 +123,7 @@ def run_once(copy: Path, command: list[str], workload: str, seed: int, seconds: 
     if proc.returncode or result is None:
         print(proc.stderr[-2000:], file=sys.stderr)
     return {"started_unix": round(started, 1), "returncode": proc.returncode,
-            "env": run_env, "result": result}
+            "cpu_s": round(cpu_s, 3), "env": run_env, "result": result}
 
 
 def quartiles(values: list[float]) -> dict:
@@ -117,6 +131,12 @@ def quartiles(values: list[float]) -> dict:
         return {"median": values[0], "q1": values[0], "q3": values[0], "n": 1}
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "n": len(values)}
+
+
+def pair_ratio(pairs: list[tuple[float, float]]) -> dict | None:
+    "Quartiles of change/parent over the pairs whose parent value is not 0."
+    ratios = [c / p for p, c in pairs if p]
+    return quartiles(ratios) if ratios else None
 
 
 def metric_summary(pairs: list[tuple[float, float]], better: str, bound: float) -> dict:
@@ -127,7 +147,6 @@ def metric_summary(pairs: list[tuple[float, float]], better: str, bound: float) 
     wins = sum(sign * (c - p) < 0.0 for p, c in pairs)
     ties = sum(c == p for p, c in pairs)
     base = parent["median"]
-    ratios = [c / p for p, c in pairs if p]
     return {
         "better": better,
         "bound": bound,
@@ -137,7 +156,7 @@ def metric_summary(pairs: list[tuple[float, float]], better: str, bound: float) 
         "ties": ties,
         "pairs": len(pairs),
         "median_change_rel": (change["median"] - base) / base if base else 0.0,
-        "pair_ratio": quartiles(ratios) if ratios else None,
+        "pair_ratio": pair_ratio(pairs),
         "parent_iqr": parent["q3"] - parent["q1"],
         "worse_than_bound": sign * (change["median"] - base) > bound * abs(base),
     }
@@ -149,9 +168,9 @@ def summarize(runs: list[dict], spec: dict) -> dict:
         mine = [run for run in runs if run["workload"] == workload]
         by_pair = {}
         for run in mine:
-            by_pair.setdefault(run["pair"], {})[run["side"]] = run["result"]
+            by_pair.setdefault(run["pair"], {})[run["side"]] = run
         complete = [sides for _, sides in sorted(by_pair.items())
-                    if all(sides.get(side) for side in SIDES)]
+                    if all(sides.get(side, {}).get("result") for side in SIDES)]
         entry = {
             "failed": {side: sum((r["result"] or {}).get("failed", 1) for r in mine
                                  if r["side"] == side) for side in SIDES},
@@ -160,10 +179,18 @@ def summarize(runs: list[dict], spec: dict) -> dict:
         }
         for metric in spec["end_to_end"]:
             name = metric["name"]
-            values = [(sides["parent"]["metrics"][name]["value"],
-                       sides["change"]["metrics"][name]["value"]) for sides in complete]
+            values = [(sides["parent"]["result"]["metrics"][name]["value"],
+                       sides["change"]["result"]["metrics"][name]["value"])
+                      for sides in complete]
             if values:
                 entry[name] = metric_summary(values, metric["better"], metric["bound"])
+        cpu = [tuple(sides[side]["cpu_s"] / max(sides[side]["result"]["attempted"], 1)
+                     for side in SIDES)
+               for sides in complete if all("cpu_s" in sides[side] for side in SIDES)]
+        if cpu:
+            entry["cpu_s_per_op"] = {"parent": quartiles([p for p, _ in cpu]),
+                                     "change": quartiles([c for _, c in cpu]),
+                                     "pair_ratio": pair_ratio(cpu)}
         summary[workload] = entry
     return summary
 
@@ -200,6 +227,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    if args.claim and args.claim.split(":", 1)[-1] not in {
+            metric["name"] for metric in spec["end_to_end"]}:
+        parser.error("--claim names an end-to-end metric of BENCHMARK.json")
     workloads = [w["name"] for w in spec["workloads"]]
     seconds = spec["run_seconds"]
     commits = {"parent": resolve(args.parent),
@@ -219,7 +249,8 @@ def main(argv=None) -> int:
                                  "pair": pair, "order": order, **run})
                     wall = ((run["result"] or {}).get("metrics", {})
                             .get("wall_s", {}).get("value"))
-                    print(f"{workload} pair {pair} {side}: wall_s {wall}", flush=True)
+                    print(f"{workload} pair {pair} {side}: wall_s {wall} cpu_s "
+                          f"{run['cpu_s']}", flush=True)
         counted = []
         if args.count_seed is not None:
             for workload in workloads:
@@ -245,8 +276,10 @@ def main(argv=None) -> int:
                    "when i is even and the change first when i is odd; each run is a "
                    "fresh process on a git archive copy of its revision, "
                    "PYTHONDONTWRITEBYTECODE=1; 'order' is the global run order; each "
-                   "'result' is the last JSON line the run printed; quartiles are "
-                   "inclusive (linear interpolation)"),
+                   "'result' is the last JSON line the run printed; 'cpu_s' is the "
+                   "run's user plus system CPU seconds, its waited-for children "
+                   "included (RUSAGE_CHILDREN); quartiles are inclusive (linear "
+                   "interpolation)"),
         "environment": next((run["env"] for run in runs if run["env"]), None),
         "summary": summary,
     }
@@ -276,11 +309,11 @@ def main(argv=None) -> int:
         for name, stats in entry.items():
             if isinstance(stats.get("parent"), dict) and "median" in stats["parent"]:
                 ratio = f"{stats['pair_ratio']['median']:.4g}" if stats["pair_ratio"] else "n/a"
+                verdict = (f"  wins {stats['change_wins']}/{stats['pairs']}  worse_than_bound "
+                           f"{stats['worse_than_bound']}" if "change_wins" in stats else "")
                 print(f"{workload:7s} {name:12s} {stats['parent']['median']:12.6g} -> "
-                      f"{stats['change']['median']:12.6g}  wins {stats['change_wins']}/"
-                      f"{stats['pairs']}  worse_than_bound {stats['worse_than_bound']}"
-                      f"  pair ratio {ratio}"
-                      f"{failed}")
+                      f"{stats['change']['median']:12.6g}{verdict}  pair ratio {ratio}"
+                      f"{failed if verdict else ''}")
     if "claim" in document:
         print("claim:", json.dumps(document["claim"]))
     return 0

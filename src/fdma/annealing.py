@@ -14,7 +14,10 @@ scans them in order; each candidate's cost is the floating-point
 computation cost() does on its design, bit for bit.  Only the words of the
 candidates up to the window's first acceptance count as used, so every
 chain, trace and generator state is the one a loop that draws and costs one
-candidate at a time would produce.
+candidate at a time would produce.  A move object costs the window: the
+shift move keeps the current state's phasors and rebuilds one probe column
+and one receiver entry per candidate, the one element whose frequency it
+changes.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import ArrayDesign, Scenario, eve_gains
+from .model import ArrayDesign, Scenario, _bob_phasors, _bob_rates, _probe_phasors, eve_gains
 from .scenario import BaselineParams, fits_aperture, meets_min_spacing
 
 logger = logging.getLogger("fdma.annealing")
@@ -105,8 +108,18 @@ def _raw_cost(scenario: Scenario, positions: np.ndarray, shifts: np.ndarray,
     exactly what its own unbatched evaluation does.
     """
     gains = eve_gains(scenario, positions, shifts, f0)
-    weights = scenario.eve_weights
-    return np.matmul(gains[..., None, :], weights[:, None])[..., 0, 0] / positions.shape[-1]
+    return _weighted_sum(gains, scenario.eve_weights[:, None], positions.shape[-1])
+
+
+def _weighted_sum(gains: np.ndarray, weights: np.ndarray, num_antennas: int) -> np.ndarray:
+    "Each row's cost from its gains and the weights as a column: one stacked dot per row."
+    return np.matmul(gains[..., None, :], weights)[..., 0, 0] / num_antennas
+
+
+def _row_costs(probes: np.ndarray, receiver: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    "_raw_cost of stacked probe matrices and receiver vectors, through _eta's product."
+    gains = np.abs(np.matmul(probes, receiver[..., None])[..., 0]) ** 2
+    return _weighted_sum(gains, weights, receiver.shape[-1])
 
 
 def spacings(positions: np.ndarray) -> np.ndarray:
@@ -200,7 +213,7 @@ class _RawDraws:
         "At least count fresh words, as Python integers."
         return self.rng.bit_generator.random_raw(max(_CHUNK_WORDS, count)).tolist()
 
-    def window(self, hot: tuple) -> tuple[np.ndarray, np.ndarray, list]:
+    def window(self, hot: list) -> tuple[np.ndarray, np.ndarray, list]:
         """Indices, value fractions and Metropolis uniforms of len(hot) candidates.
 
         Candidate j is drawn as numpy's serial calls draw it after every
@@ -264,39 +277,91 @@ class _RawDraws:
         bit_generator.state = state
 
 
-def _position_move(scenario: Scenario, design: ArrayDesign,
-                   params: BaselineParams) -> tuple:
+class _PositionMove:
     """Spacings redrawn under the adaptive span limit; every candidate recentres the array.
 
-    A move is the tuple (state, lo, upper_of, costs): a candidate sets
-    coordinate i of the state to a uniform draw in [lo, upper_of(state)[i]],
-    the largest feasible value with the others held, and costs(stack) costs
-    the rows of a stack of states in one batched call (a single state gives
-    a scalar).
+    A move holds the block being annealed (state) and the smallest value of
+    a coordinate (lo).  upper(state) gives the largest value each coordinate
+    may take with the others held.  costs(stack, indices) costs a stack of
+    blocks, row j differing from the current state in coordinate indices[j]
+    at most, each row with the bits cost() gives its design; accept(row)
+    makes that row of the last stack the current state.  Recentring moves
+    every element, so this move keeps only the held shifts' phase constants
+    and ignores indices and accept.
     """
-    half_width, shifts, f0 = params.aperture_half_width, design.freq_shifts, design.f0
-    return (_initial_spacings(design, params), params.min_spacing,
-            lambda d: adaptive_max_spacing(d, slice(None), half_width),
-            lambda d: _raw_cost(scenario, reconstruct_positions(d, half_width), shifts, f0))
+
+    def __init__(self, scenario: Scenario, design: ArrayDesign, params: BaselineParams):
+        self.state, self.lo = _initial_spacings(design, params), params.min_spacing
+        self.half_width, self.bob = params.aperture_half_width, scenario.bob
+        self.ranges, self.cosines = scenario.eve_ranges[:, None], scenario.eve_cosines[:, None]
+        self.f_over_c = (design.f0 + design.freq_shifts) / scenario.speed_of_light
+        self.rates, self.cos_bob = _bob_rates(self.f_over_c), math.cos(self.bob.angle_rad)
+        self.weights = scenario.eve_weights[:, None]
+
+    def upper(self, d: np.ndarray) -> np.ndarray:
+        return adaptive_max_spacing(d, slice(None), self.half_width)
+
+    def costs(self, stack: np.ndarray, indices) -> np.ndarray:
+        positions = reconstruct_positions(stack, self.half_width)
+        paths = self.ranges - self.cosines * positions[..., None, :]
+        return _row_costs(_probe_phasors(paths, self.f_over_c),
+                          _bob_phasors(self.rates, self.bob.range_m - positions * self.cos_bob),
+                          self.weights)
+
+    def accept(self, row: int) -> None:
+        pass
 
 
-def _shift_move(scenario: Scenario, design: ArrayDesign,
-                params: BaselineParams) -> tuple:
-    "Shifts redrawn inside the box, positions held; a move as `_position_move` gives it."
-    lo, hi = params.freq_shift_bounds
-    positions, f0 = design.positions, design.f0
-    # A linear ramp outgrows the shift box for wide arrays; the box is the
-    # optimizer's constraint, so saturate the starting point instead of
-    # rejecting it.
-    start, clipped = params.clip_shifts(design.freq_shifts)
-    if clipped:
-        logger.debug("clipping %d starting shifts into the allowed box", clipped)
-    return (start, lo,
-            lambda shifts: np.full(shifts.size, hi),
-            lambda shifts: _raw_cost(scenario, positions, shifts, f0))
+class _ShiftMove:
+    """Shifts redrawn inside the box, positions held; a move as _PositionMove describes it.
+
+    A candidate changes one element's frequency, so one column of the probe
+    matrix and one receiver entry.  The move keeps the current state's probe
+    matrix and receiver vector, rebuilds only that column and entry in each
+    row of a stack, and on accept(row) takes over the row's.
+    """
+
+    def __init__(self, scenario: Scenario, design: ArrayDesign, params: BaselineParams):
+        self.lo, hi = params.freq_shift_bounds
+        # A linear ramp outgrows the shift box for wide arrays; the box is the
+        # optimizer's constraint, so saturate the starting point instead of
+        # rejecting it.
+        self.state, clipped = params.clip_shifts(design.freq_shifts)
+        if clipped:
+            logger.debug("clipping %d starting shifts into the allowed box", clipped)
+        self.hi, self.f0, self.c = np.full(self.state.size, hi), design.f0, scenario.speed_of_light
+        positions, bob = design.positions, scenario.bob
+        self.paths = scenario.eve_ranges[:, None] - scenario.eve_cosines[:, None] * positions
+        self.bob_paths = bob.range_m - positions * math.cos(bob.angle_rad)
+        self.weights = scenario.eve_weights[:, None]
+        f_over_c = (self.f0 + self.state) / self.c
+        self.probes = _probe_phasors(self.paths, f_over_c)[None]
+        self.receiver = _bob_phasors(_bob_rates(f_over_c), self.bob_paths)[None]
+
+    def upper(self, shifts: np.ndarray) -> np.ndarray:
+        return self.hi
+
+    def costs(self, stack: np.ndarray, indices) -> np.ndarray:
+        w = len(stack)
+        rows = np.arange(w)
+        f_over_c = (self.f0 + stack[rows, indices]) / self.c
+        probes = self.probes.repeat(w, axis=0)
+        probes[rows, :, indices] = _probe_phasors(self.paths[:, indices], f_over_c).T
+        receiver = self.receiver.repeat(w, axis=0)
+        receiver[rows, indices] = _bob_phasors(_bob_rates(f_over_c), self.bob_paths[indices])
+        self.last = probes, receiver
+        return _row_costs(probes, receiver, self.weights)
+
+    def accept(self, row: int) -> None:
+        probes, receiver = self.last
+        self.probes, self.receiver = probes[row:row + 1], receiver[row:row + 1]
 
 
-def _anneal_loop(move: tuple, cfg: AnnealerConfig, rng: np.random.Generator,
+# Each phase's move constructor by its function-style name.
+_position_move, _shift_move = _PositionMove, _ShiftMove
+
+
+def _anneal_loop(move, cfg: AnnealerConfig, rng: np.random.Generator,
                  trace: list | None) -> tuple[np.ndarray, float]:
     """Single-coordinate annealing of a move's block; returns the best visited state.
 
@@ -311,28 +376,30 @@ def _anneal_loop(move: tuple, cfg: AnnealerConfig, rng: np.random.Generator,
     doubles, up to _MAX_WINDOW, after each window without one, so a chain
     that accepts often drops little costed work.
     """
-    state, lo, upper_of, costs_of = move
-    current = float(costs_of(state))
-    upper = upper_of(state)
+    state, lo = move.state, move.lo
+    # Row 0 is the state itself, so the index it names rebuilds nothing new.
+    current = float(move.costs(state[None], [0])[0])
+    upper = move.upper(state)
     best, best_cost = state, current
     t0 = cfg.initial_temperature
     if t0 is None:
         t0 = max(current, 1e-12)
+    # Iteration t's temperature and hot flag (T > 0) sit at t - 1.
+    temperatures = [t0 * cfg.cooling_factor ** t for t in range(1, cfg.max_iterations + 1)]
+    hot = [temperature > 0.0 for temperature in temperatures]
     draws = _RawDraws(rng, state.size)
     t = width = 1
     while t <= cfg.max_iterations:
-        temperatures = [t0 * cfg.cooling_factor ** s
-                        for s in range(t, min(t + width, cfg.max_iterations + 1))]
-        w = len(temperatures)
-        indices, fractions, uniforms = draws.window(
-            tuple(temperature > 0.0 for temperature in temperatures))
-        stack = np.repeat(state[None], w, axis=0)
+        window = temperatures[t - 1:t - 1 + width]
+        w = len(window)
+        indices, fractions, uniforms = draws.window(hot[t - 1:t - 1 + w])
+        stack = state[None].repeat(w, axis=0)
         stack[np.arange(w), indices] = lo + (upper[indices] - lo) * fractions
-        costs = costs_of(stack).tolist()
+        costs = move.costs(stack, indices).tolist()
         accepted = False
         for j in range(w):
             delta = costs[j] - current
-            temperature = temperatures[j]
+            temperature = window[j]
             # metropolis_accept on the pre-drawn uniform.
             if delta < 0.0 or (temperature > 0.0
                                and math.exp(-delta / temperature) >= uniforms[j]):
@@ -343,16 +410,16 @@ def _anneal_loop(move: tuple, cfg: AnnealerConfig, rng: np.random.Generator,
             # The rejected rows, built as IterationRecord._make does but
             # without a Python frame per row.
             trace.extend(map(tuple.__new__, repeat(IterationRecord),
-                             zip(range(t, t + j), temperatures, costs, repeat(False),
+                             zip(range(t, t + j), window, costs, repeat(False),
                                  repeat(best_cost))))
         if accepted:
             state, current = stack[j].copy(), costs[j]
-            upper = upper_of(state)
+            move.accept(j)
+            upper = move.upper(state)
             if current < best_cost:
                 best, best_cost = state, current
         if trace is not None:
-            trace.append(IterationRecord(t + j, temperatures[j], costs[j], accepted,
-                                         best_cost))
+            trace.append(IterationRecord(t + j, window[j], costs[j], accepted, best_cost))
         t += j + 1
         width = 1 if accepted else min(2 * width, _MAX_WINDOW)
     draws.sync()
@@ -369,7 +436,7 @@ def anneal_positions(scenario: Scenario, design: ArrayDesign, params: BaselinePa
     _check_optimizable(scenario, design)
     if design.num_antennas == 1:
         return design
-    best_d, _ = _anneal_loop(_position_move(scenario, design, params), cfg,
+    best_d, _ = _anneal_loop(_PositionMove(scenario, design, params), cfg,
                              np.random.default_rng(cfg.seed), trace)
     positions = reconstruct_positions(best_d, params.aperture_half_width)
     return ArrayDesign(positions, design.f0, design.freq_shifts)
@@ -383,7 +450,7 @@ def anneal_freq_shifts(scenario: Scenario, design: ArrayDesign, params: Baseline
     first, so every state visited is feasible.
     """
     _check_optimizable(scenario, design)
-    best_shifts, _ = _anneal_loop(_shift_move(scenario, design, params), cfg,
+    best_shifts, _ = _anneal_loop(_ShiftMove(scenario, design, params), cfg,
                                   np.random.default_rng(cfg.seed), trace)
     return ArrayDesign(design.positions, design.f0, best_shifts)
 

@@ -103,6 +103,58 @@ class TestBatchedCostMatchesCost:
             reconstruct_positions([[1.0, 1.0], [1.0, 1.0 + 1e-6]], 1.0)
 
 
+class TestShiftMoveCache:
+    # The shift move rebuilds one probe column and one receiver entry per row
+    # from the phasors it keeps for the current state, and takes over the
+    # accepted row's.  Every row must still cost what cost() gives its
+    # design, bit for bit, after any run of acceptances.
+    @staticmethod
+    def assert_rows_equal_cost(scenario, design, params, steps, rng, narrow=False):
+        move = annealing._ShiftMove(scenario, design, params)
+        lo, hi = params.freq_shift_bounds
+        state, m = move.state, design.num_antennas
+        for width, accepted in steps:
+            # Narrow index vectors repeat an index in almost every window.
+            indices = rng.integers(min(m, 2) if narrow else m, size=width)
+            stack = np.repeat(state[None], width, axis=0)
+            stack[np.arange(width), indices] = rng.uniform(lo, hi, size=width)
+            costs = move.costs(stack, indices)
+            assert move.probes.shape == (1, scenario.num_eves, m)
+            for j, row_cost in enumerate(costs.tolist()):
+                expected = cost(scenario, ArrayDesign(design.positions, F0, stack[j]))
+                assert row_cost.hex() == expected.hex(), (j, indices)
+            move.accept(accepted % width)
+            state = stack[accepted % width]
+
+    @settings(derandomize=True, max_examples=80)
+    @given(seed=st.integers(0, 2**32 - 1), num_eves=st.integers(1, 6),
+           num_antennas=st.integers(2, 32), narrow=st.booleans(),
+           steps=st.lists(st.tuples(st.integers(1, 32), st.integers(0, 31)), min_size=1,
+                          max_size=12))
+    def test_every_cached_row_equals_cost(self, link_cfg, bob, seed, num_eves, num_antennas,
+                                          narrow, steps):
+        rng = np.random.default_rng(seed)
+        eves = tuple(random_placement(rng, link_cfg) for _ in range(num_eves))
+        scenario = Scenario(bob, eves, tx_power_linear=10.0 ** 0.5)
+        params = default_baseline_params(num_antennas, F0, SPEED_OF_LIGHT)
+        self.assert_rows_equal_cost(scenario, random_design(rng, num_antennas), params,
+                                    steps, rng, narrow)
+
+    @pytest.mark.parametrize("num_antennas", [2, 9, 32])
+    def test_no_eves_keeps_an_empty_probe_matrix(self, bob, num_antennas):
+        # K = 0: the probe matrix is (0, M) and every row costs 0.
+        rng = np.random.default_rng(num_antennas)
+        scenario = Scenario(bob, (), tx_power_linear=1.0)
+        params = default_baseline_params(num_antennas, F0, SPEED_OF_LIGHT)
+        self.assert_rows_equal_cost(scenario, random_design(rng, num_antennas), params,
+                                    [(1, 0), (32, 31), (5, 2)], rng)
+
+    def test_accepting_the_last_row_of_a_full_window(self, default_scenario, default_params):
+        rng = np.random.default_rng(21)
+        self.assert_rows_equal_cost(default_scenario, random_design(rng, 21), default_params,
+                                    [(32, 31), (32, 31), (1, 0), (32, 0)], rng)
+
+
 def generator_at(state):
     "A numpy Generator whose PCG64 bit generator is in state."
     rng = np.random.default_rng()
@@ -546,28 +598,28 @@ class TestAnnealPositions:
         params = default_baseline_params(6, F0, SPEED_OF_LIGHT)
         init = make_linear_fda(6, params, F0)
         evaluations = []
-        real_gains = annealing.eve_gains
+        real_costs = annealing._PositionMove.costs
 
-        def spy(scn, positions, shifts, f0):
-            evaluations.append(np.array(positions))
-            return real_gains(scn, positions, shifts, f0)
+        def spy(move, stack, indices):
+            evaluations.append(np.array(stack))
+            return real_costs(move, stack, indices)
 
-        monkeypatch.setattr(annealing, "eve_gains", spy)
+        monkeypatch.setattr(annealing._PositionMove, "costs", spy)
         trace = []
         anneal_positions(scenario, init, params,
                          AnnealerConfig(max_iterations=250, seed=12), trace=trace)
-        # evaluations[0] is the initial state; each later call costs one window
-        # of candidates drawn from one state.  The loop scans a window's rows in
-        # order up to its first acceptance; the rows after it are speculative
-        # and discarded, but were drawn from the same state.
-        state = spacings(evaluations[0])
+        # evaluations[0] holds the initial spacings; each later call costs one
+        # window of candidates drawn from one state.  The loop scans a window's
+        # rows in order up to its first acceptance; the rows after it are
+        # speculative and discarded, but were drawn from the same state.
+        assert len(evaluations[0]) == 1
+        state = evaluations[0][0]
         records = iter(trace)
         scanned = discarded = 0
         for window in evaluations[1:]:
             assert window.ndim == 2
             next_state, live = state, True
-            for positions in window:
-                candidate = spacings(positions)
+            for candidate in window:
                 assert np.all(candidate >= params.min_spacing - 1e-12)
                 assert candidate.sum() <= 2 * params.aperture_half_width + 1e-9
                 changed = np.abs(candidate - state) > 1e-15
@@ -614,18 +666,19 @@ class TestAnnealFreqShifts:
         params = replace(default_baseline_params(6, F0, SPEED_OF_LIGHT),
                          freq_shift_bounds=(0.0, 0.0))
         rows = []
-        real_gains = annealing.eve_gains
+        real_costs = annealing._ShiftMove.costs
 
-        def spy(scn, positions, shifts, f0):
-            rows.append(np.shape(shifts)[:-1])
-            return real_gains(scn, positions, shifts, f0)
+        def spy(move, stack, indices):
+            rows.append(len(stack))
+            return real_costs(move, stack, indices)
 
-        monkeypatch.setattr(annealing, "eve_gains", spy)
+        monkeypatch.setattr(annealing._ShiftMove, "costs", spy)
         trace = []
         anneal_freq_shifts(scenario, make_linear_fda(6, params, F0), params,
                            AnnealerConfig(max_iterations=200, seed=3), trace)
         assert len(trace) == 200 and all(rec.accepted for rec in trace)
-        assert rows == [()] + [(1,)] * 200
+        # The initial state's cost, then 200 windows of one row each.
+        assert rows == [1] + [1] * 200
 
     def test_shifts_cut_cost_for_range_displaced_eve(self, link_cfg, bob):
         # One adversary on Bob's bearing but at a different range: positions

@@ -76,6 +76,44 @@ class TestPairRatio:
         assert "pair_ratio" not in verdict and verdict["met"]
 
 
+class TestCpuSeconds:
+    def test_cpu_seconds_per_operation_and_their_pair_ratio(self):
+        timed = runs(0)
+        for run in timed:
+            run["cpu_s"] = 10.0 if run["side"] == "parent" else 6.0
+        summary = bench_pairs.summarize(timed, SPEC)
+        cpu = summary["anneal"]["cpu_s_per_op"]
+        # 20 attempted operations per run.
+        assert cpu["parent"]["median"] == pytest.approx(0.5)
+        assert cpu["change"]["median"] == pytest.approx(0.3)
+        assert cpu["pair_ratio"] == {"median": pytest.approx(0.6), "q1": pytest.approx(0.6),
+                                     "q3": pytest.approx(0.6), "n": 10}
+        verdict = bench_pairs.claim_verdict(summary, "anneal", "wall_s")
+        assert verdict["met"] and "cpu_s_per_op" not in verdict
+
+    def test_claim_names_an_end_to_end_metric(self, tmp_path):
+        with pytest.raises(SystemExit):
+            bench_pairs.main(["--parent", "HEAD", "--first-seed", "1", "--out",
+                              str(tmp_path / "bench.json"), "--claim", "anneal:cpu_s_per_op"])
+        assert not (tmp_path / "bench.json").exists()
+
+    def test_run_records_its_cpu_seconds(self, tmp_path):
+        (tmp_path / "stub.py").write_text(CPU_STUB)
+        run = bench_pairs.run_once(tmp_path, ["python3", "stub.py"], "anneal", 1, 0.0, 0)
+        assert run["result"] == {"attempted": 1}
+        assert 0.2 <= run["cpu_s"] < 10.0
+
+
+# Spends 0.2 s of CPU time, then prints a JSON result line.
+CPU_STUB = """\
+import json, time
+end = time.process_time() + 0.2
+while time.process_time() < end:
+    pass
+print(json.dumps({"attempted": 1}))
+"""
+
+
 # Prints the size of its CPU affinity set as the run's JSON result line.
 AFFINITY_STUB = """\
 import json, os
