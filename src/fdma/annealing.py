@@ -357,10 +357,6 @@ class _ShiftMove:
         self.probes, self.receiver = probes[row:row + 1], receiver[row:row + 1]
 
 
-# Each phase's move constructor by its function-style name.
-_position_move, _shift_move = _PositionMove, _ShiftMove
-
-
 def _anneal_loop(move, cfg: AnnealerConfig, rng: np.random.Generator,
                  trace: list | None) -> tuple[np.ndarray, float]:
     """Single-coordinate annealing of a move's block; returns the best visited state.

@@ -20,12 +20,14 @@ import datetime
 import json
 import logging
 import os
+import pickle
 import platform
+import shutil
+import signal
 import sys
 import time
 from collections.abc import Iterable, Iterator
 from itertools import chain, islice, repeat
-from operator import itemgetter
 from pathlib import Path
 from typing import TextIO
 
@@ -104,29 +106,23 @@ def _write_csv(path: Path, header: Iterable[str], fmt: str, blocks: list[Iterabl
     `<path>.<i>.tmp`; the parent then appends the parts in block order, so
     the bytes do not depend on how the rows are split.  A failure in any
     block kills and reaps the children, removes every temporary file and is
-    raised here as the failing block's exception.
+    raised here as the failing block's exception, which a child leaves in
+    its part file (`_fork_part`).
     """
-    # Imported here, as pickle is in the helpers, so that fdma.cli's
-    # module-level imports stay as they were; numpy has loaded all three.
-    import shutil
-    import signal
-
     render = (fmt + "\n").__mod__
     own, forked = (blocks[:1], blocks[1:]) if hasattr(os, "fork") else (blocks, [])
     parts = [path.with_name(f"{path.name}.{i}.tmp") for i in range(1, len(forked) + 1)]
-    pids, pipes = [], []  # children not yet reaped; every error pipe opened
+    pids = []  # children not yet reaped
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         for rows, part in zip(forked, parts):
-            pid, pipe = _fork_part(rows, render, part)
-            pids.append(pid)
-            pipes.append(pipe)
+            pids.append(_fork_part(rows, render, part))
         with _atomic_open(path) as handle:
             handle.write(",".join(header) + "\n")
             handle.writelines(map(render, chain.from_iterable(own)))
             handle.flush()  # the parts are copied into the byte buffer beneath
-            for pipe, part in zip(pipes, parts):
-                failure = _join_part(pids[0], pipe)
+            for part in parts:
+                failure = _join_part(pids[0], part)
                 del pids[0]
                 if failure is not None:
                     raise failure
@@ -137,53 +133,46 @@ def _write_csv(path: Path, header: Iterable[str], fmt: str, blocks: list[Iterabl
         for pid in pids:  # still running only when a block failed
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-        for pipe in pipes:
-            os.close(pipe)
         for part in parts:
             part.unlink(missing_ok=True)
 
 
-def _fork_part(rows: Iterable[tuple], render, part: Path) -> tuple[int, int]:
-    """Fork a child that writes `render(row)` for each row to part; returns its pid and pipe.
+def _fork_part(rows: Iterable[tuple], render, part: Path) -> int:
+    """Fork a child that writes `render(row)` for each row to part; returns its pid.
 
-    The pipe is the read end of the child's error channel.  The child never
-    returns into the caller's stack: it leaves through os._exit, with
-    status 0 once part is complete, and otherwise with status 1 after
-    sending its pickled exception down the pipe.
+    The child never returns into the caller's stack: it leaves through
+    os._exit, with status 0 once part is complete, and otherwise with
+    status 1 after rewriting part with its pickled exception.
     """
-    import pickle
-
-    read_end, write_end = os.pipe()
     pid = os.fork()
     if pid:
-        os.close(write_end)
-        return pid, read_end
+        return pid
     status = 1
     try:
-        os.close(read_end)
         with open(part, "w", encoding="utf-8", newline="\n") as handle:
             handle.writelines(map(render, rows))
         status = 0
     except BaseException as exc:
-        with contextlib.suppress(BaseException), open(write_end, "wb") as channel:
-            pickle.dump(exc, channel)
+        with contextlib.suppress(BaseException), open(part, "wb") as handle:
+            pickle.dump(exc, handle)
     finally:
         os._exit(status)
 
 
-def _join_part(pid: int, pipe: int) -> BaseException | None:
-    "Wait for a `_fork_part` child; None if it wrote its part, else the exception it sent."
-    import pickle
+def _join_part(pid: int, part: Path) -> BaseException | None:
+    """Wait for a `_fork_part` child; None if it wrote its part, else the exception it raised.
 
-    with open(pipe, "rb", closefd=False) as channel:
-        payload = channel.read()
-    _, status = os.waitpid(pid, 0)
-    if not payload and status == 0:
+    The exception is read back from part only when the child exited with
+    status 1; any other failure, or a part that does not unpickle, is a
+    ChildProcessError.
+    """
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code == 0:
         return None
-    try:
-        return pickle.loads(payload)
-    except Exception:  # noqa: BLE001 - an exception that did not survive pickling
-        return ChildProcessError(f"row block worker {pid} failed with wait status {status}")
+    if code == 1:
+        with contextlib.suppress(Exception), open(part, "rb") as source:
+            return pickle.load(source)
+    return ChildProcessError(f"row block worker {pid} failed with exit code {code}")
 
 
 def _split_rows(count: int) -> list[slice]:
@@ -331,26 +320,6 @@ def cmd_sweep(cfg: RunConfig, axis: str, out_dir: Path) -> None:
                      "jobs": jobs})
 
 
-def _sa_trace_blocks(trace: list) -> list[Iterator[tuple]]:
-    """Row blocks (`_split_rows`) of trace's IterationRecords, best_cost as `%.17g` text.
-
-    Each distinct best_cost is formatted once: it changes only when a chain
-    improves on it, and a stock trace holds about 170 distinct values in
-    40,000 rows.  Costs are sums of non-negative SNRs, so no -0.0 shares a
-    key with 0.0.  The rows are built as they are written, from index
-    ranges of the trace, so no copy of it is held.
-    """
-    best_cost = itemgetter(4)
-    text = {value: "%.17g" % value for value in set(map(best_cost, trace))}
-
-    def rows(span: slice) -> Iterator[tuple]:
-        columns = (map(itemgetter(i), islice(trace, span.start, span.stop)) for i in range(4))
-        best = map(best_cost, islice(trace, span.start, span.stop))
-        return zip(*columns, map(text.__getitem__, best))
-
-    return [rows(span) for span in _split_rows(len(trace))]
-
-
 def cmd_optimize(cfg: RunConfig, method: str, out_dir: Path) -> None:
     clock = _Stopwatch()
     scenario = cfg.scenario()
@@ -362,7 +331,8 @@ def cmd_optimize(cfg: RunConfig, method: str, out_dir: Path) -> None:
                                     cfg.annealer(), cfg.perturber(), trace=trace)
     final_cost = cost(scenario, design)
     clock.lap("optimize")
-    record, fmt, blocks = ((IterationRecord, "%d,%.17g,%.17g,%d,%s", _sa_trace_blocks(trace))
+    record, fmt, blocks = ((IterationRecord, "%d,%.17g,%.17g,%d,%.17g",
+                            [islice(trace, s.start, s.stop) for s in _split_rows(len(trace))])
                            if method == "sa" else (RoundRecord, "%d,%s,%.17g,%d", [trace]))
     _write_csv(out_dir / "trace.csv", record._fields, fmt, blocks,
                footer={"initial_cost": initial_cost, "final_cost": final_cost})

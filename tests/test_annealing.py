@@ -278,8 +278,8 @@ class TestWindowedLoopMatchesSerial:
                              seed=seed % 2**63)
         best, best_cost, trace, final_state = serial_anneal(scenario, design, params,
                                                             cfg, phase)
-        make_move = annealing._position_move if phase == "positions" else \
-            annealing._shift_move
+        make_move = annealing._PositionMove if phase == "positions" else \
+            annealing._ShiftMove
         windowed_rng = np.random.default_rng(cfg.seed)
         windowed_trace = []
         got, got_cost = annealing._anneal_loop(make_move(scenario, design, params), cfg,
@@ -313,8 +313,8 @@ class TestWindowedLoopEdgesOfTheDrawStream:
         cfg = AnnealerConfig(cooling_factor=cooling, max_iterations=iterations)
         best, best_cost, trace, final_state = serial_anneal(scenario, design, params, cfg,
                                                             phase, state)
-        make_move = annealing._position_move if phase == "positions" else \
-            annealing._shift_move
+        make_move = annealing._PositionMove if phase == "positions" else \
+            annealing._ShiftMove
         rng = generator_at(state)
         windowed_trace = []
         got, got_cost = annealing._anneal_loop(make_move(scenario, design, params), cfg, rng,

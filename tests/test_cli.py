@@ -5,6 +5,7 @@ import math
 import multiprocessing
 import os
 import platform
+import signal
 import subprocess
 import sys
 import tempfile
@@ -234,6 +235,32 @@ class TestCsvWriter:
         path.write_text("old\n")
         with pytest.raises(TypeError, match="number is required"):
             _write_csv(path, ["n"], "%d", [[(1,)], [(2,)], [(3,), ("not a number",)]])
+        assert path.read_text() == "old\n"
+        assert list(tmp_path.iterdir()) == [path]
+        assert_no_child_processes()
+
+    @pytest.mark.parametrize("failure", ["killed", "unpicklable"])
+    def test_child_failure_that_cannot_come_back(self, tmp_path, failure):
+        # The forked block's second row, after the first was rendered, either
+        # kills the child that renders it or raises an exception whose class
+        # is local to this test, which does not pickle.
+        writer = os.getpid()
+
+        class LocalError(Exception):
+            pass
+
+        class BadRow:
+            def __str__(self):
+                if failure == "unpicklable":
+                    raise LocalError("raised in the child")
+                if os.getpid() != writer:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                return "never written"
+
+        path = tmp_path / "t.csv"
+        path.write_text("old\n")
+        with pytest.raises(ChildProcessError):
+            _write_csv(path, ["s"], "%s", [[("a",)], [("b",), (BadRow(),), ("c",)]])
         assert path.read_text() == "old\n"
         assert list(tmp_path.iterdir()) == [path]
         assert_no_child_processes()
