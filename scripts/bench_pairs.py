@@ -39,8 +39,6 @@ seed S, whose per-command-set counts must repeat exactly across sides.  These
 runs start with their CPU affinity set to one CPU, where the OS has affinity
 sets, so that a sweep runs its jobs in the traced process rather than in
 worker processes the tracer cannot see; timed runs keep every CPU.
-`src_lines` records each side's code size: the non-blank lines of every
-`src/fdma/*.py` in its copy, per file and in total.  No verdict reads it.
 """
 
 from __future__ import annotations
@@ -85,14 +83,6 @@ def checkout(commit: str, dest: Path) -> Path:
         tar.extractall(dest)
     archive.unlink()
     return dest
-
-
-def src_lines(copy: Path) -> dict:
-    "Non-blank lines of each src/fdma/*.py under copy, by file name, and their total."
-    files = {path.name: sum(1 for line in path.read_text(encoding="utf-8").splitlines()
-                            if line.strip())
-             for path in sorted((copy / "src" / "fdma").glob("*.py"))}
-    return {"files": files, "total": sum(files.values())}
 
 
 def one_cpu() -> None:
@@ -247,7 +237,6 @@ def main(argv=None) -> int:
     work = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     try:
         copies = {side: checkout(commits[side], work / side) for side in SIDES}
-        code = {side: src_lines(copies[side]) for side in SIDES}
         runs, order = [], 0
         for workload in workloads:
             for pair in range(args.pairs):
@@ -292,7 +281,6 @@ def main(argv=None) -> int:
                    "included (RUSAGE_CHILDREN); quartiles are inclusive (linear "
                    "interpolation)"),
         "environment": next((run["env"] for run in runs if run["env"]), None),
-        "src_lines": code,
         "summary": summary,
     }
     if args.claim:
@@ -315,7 +303,6 @@ def main(argv=None) -> int:
             "runs": counted,
         }
     args.out.write_text(json.dumps(document, indent=1) + "\n")
-    print("src_lines", " -> ".join(str(code[side]["total"]) for side in SIDES))
     for workload, entry in summary.items():
         failed = "  failed " + " -> ".join(
             f"{entry['failed'][side]}/{entry['attempted'][side]}" for side in SIDES)

@@ -25,11 +25,12 @@ import platform
 import shutil
 import signal
 import sys
+import tempfile
 import time
 from collections.abc import Iterable, Iterator
 from itertools import chain, islice, repeat
 from pathlib import Path
-from typing import TextIO
+from typing import BinaryIO, TextIO
 
 import numpy as np
 import scipy
@@ -102,21 +103,20 @@ def _write_csv(path: Path, header: Iterable[str], fmt: str, blocks: list[Iterabl
     `%d` an int or bool, `%s` a string; `%d` of a float would truncate it.
 
     The calling process renders block 0.  Where the OS can fork, each later
-    block i renders in a child, forked before the output is opened, into
-    `<path>.<i>.tmp`; the parent then appends the parts in block order, so
-    the bytes do not depend on how the rows are split.  A failure in any
-    block kills and reaps the children, removes every temporary file and is
-    raised here as the failing block's exception, which a child leaves in
-    its part file (`_fork_part`).
+    block i renders in a child, forked before the output is opened, into an
+    unnamed file beside path that the parent holds open, and the parent
+    appends the parts in block order, so the bytes do not depend on the
+    split.  A failure in any block kills and reaps the children and is raised
+    here as that block's exception, which a child leaves in its part.
     """
     render = (fmt + "\n").__mod__
     own, forked = (blocks[:1], blocks[1:]) if hasattr(os, "fork") else (blocks, [])
-    parts = [path.with_name(f"{path.name}.{i}.tmp") for i in range(1, len(forked) + 1)]
-    pids = []  # children not yet reaped
+    parts, pids = [], []  # part files; children not yet reaped
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        for rows, part in zip(forked, parts):
-            pids.append(_fork_part(rows, render, part))
+        for rows in forked:
+            parts.append(tempfile.TemporaryFile(dir=path.parent))
+            pids.append(_fork_part(rows, render, parts[-1]))
         with _atomic_open(path) as handle:
             handle.write(",".join(header) + "\n")
             handle.writelines(map(render, chain.from_iterable(own)))
@@ -126,52 +126,54 @@ def _write_csv(path: Path, header: Iterable[str], fmt: str, blocks: list[Iterabl
                 del pids[0]
                 if failure is not None:
                     raise failure
-                with open(part, "rb") as source:
-                    shutil.copyfileobj(source, handle.buffer)
+                shutil.copyfileobj(part, handle.buffer)
             handle.writelines(f"# {key}={_fmt(value)}\n" for key, value in (footer or {}).items())
     finally:
         for pid in pids:  # still running only when a block failed
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
         for part in parts:
-            part.unlink(missing_ok=True)
+            part.close()
 
 
-def _fork_part(rows: Iterable[tuple], render, part: Path) -> int:
+def _fork_part(rows: Iterable[tuple], render, part: BinaryIO) -> int:
     """Fork a child that writes `render(row)` for each row to part; returns its pid.
 
-    The child never returns into the caller's stack: it leaves through
-    os._exit, with status 0 once part is complete, and otherwise with
-    status 1 after rewriting part with its pickled exception.
+    The child writes through part's inherited descriptor and never returns
+    into the caller's stack: it leaves through os._exit, with status 0 once
+    part is complete, else 1 after rewriting part with its pickled exception.
     """
     pid = os.fork()
     if pid:
         return pid
     status = 1
     try:
-        with open(part, "w", encoding="utf-8", newline="\n") as handle:
+        with open(part.fileno(), "w", encoding="utf-8", newline="\n", closefd=False) as handle:
             handle.writelines(map(render, rows))
         status = 0
     except BaseException as exc:
-        with contextlib.suppress(BaseException), open(part, "wb") as handle:
-            pickle.dump(exc, handle)
+        with contextlib.suppress(BaseException):
+            part.seek(0)
+            pickle.dump(exc, part)
+            part.truncate()  # flushes the pickle, then drops any rows after it
     finally:
         os._exit(status)
 
 
-def _join_part(pid: int, part: Path) -> BaseException | None:
-    """Wait for a `_fork_part` child; None if it wrote its part, else the exception it raised.
+def _join_part(pid: int, part: BinaryIO) -> BaseException | None:
+    """Wait for a `_fork_part` child; None if it wrote part, else the exception it raised.
 
-    The exception is read back from part only when the child exited with
-    status 1; any other failure, or a part that does not unpickle, is a
-    ChildProcessError.
+    part is left at its start.  The exception is read back from part only
+    when the child exited with status 1; any other failure, or a part that
+    does not unpickle, is a ChildProcessError.
     """
     code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    part.seek(0)
     if code == 0:
         return None
     if code == 1:
-        with contextlib.suppress(Exception), open(part, "rb") as source:
-            return pickle.load(source)
+        with contextlib.suppress(Exception):
+            return pickle.load(part)
     return ChildProcessError(f"row block worker {pid} failed with exit code {code}")
 
 

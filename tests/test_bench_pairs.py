@@ -130,14 +130,3 @@ def test_only_traced_runs_are_pinned_to_one_cpu(tmp_path, trace):
     assert run["returncode"] == 0
     expected = 1 if trace else len(os.sched_getaffinity(0))
     assert run["result"] == {"cpus": expected}
-
-
-def test_src_lines_counts_non_blank_lines_of_the_package(tmp_path):
-    package = tmp_path / "src" / "fdma"
-    package.mkdir(parents=True)
-    (package / "cli.py").write_text("import os\n\n    \ndef f():\n    return 1\n")
-    (package / "__init__.py").write_text("")
-    (package / "notes.txt").write_text("not python\n")
-    (tmp_path / "src" / "other.py").write_text("outside the package\n")
-    assert bench_pairs.src_lines(tmp_path) == {"files": {"__init__.py": 0, "cli.py": 3},
-                                               "total": 3}

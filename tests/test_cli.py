@@ -4,6 +4,7 @@ import json
 import math
 import multiprocessing
 import os
+import pickle
 import platform
 import signal
 import subprocess
@@ -263,6 +264,29 @@ class TestCsvWriter:
             _write_csv(path, ["s"], "%s", [[("a",)], [("b",), (BadRow(),), ("c",)]])
         assert path.read_text() == "old\n"
         assert list(tmp_path.iterdir()) == [path]
+        assert_no_child_processes()
+
+    def test_file_at_a_part_name_is_never_read(self, tmp_path):
+        # A pickled exception planted where a part could be named is neither
+        # returned nor touched: a child that exits with status 1 and leaves
+        # no exception is a ChildProcessError, and a clean run ignores it.
+        writer = os.getpid()
+
+        class ExitRow:
+            def __str__(self):
+                if os.getpid() != writer:
+                    os._exit(1)
+                return "never written"
+
+        path = tmp_path / "t.csv"
+        planted = tmp_path / "t.csv.1.tmp"
+        planted.write_bytes(pickle.dumps(ValueError("planted")))
+        with pytest.raises(ChildProcessError):
+            _write_csv(path, ["s"], "%s", [[("a",)], [(ExitRow(),)]])
+        _write_csv(path, ["s"], "%s", [[("a",)], [("b",)]])
+        assert path.read_text() == "s\na\nb\n"
+        assert planted.read_bytes() == pickle.dumps(ValueError("planted"))
+        assert sorted(tmp_path.iterdir()) == [path, planted]
         assert_no_child_processes()
 
     @pytest.mark.parametrize("count,cpus,lengths", [
