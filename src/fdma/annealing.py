@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import ArrayDesign, Scenario, _bob_phasors, _bob_rates, _probe_phasors, eve_gains
+from .model import ArrayDesign, Scenario, _paths, _phasors, eve_gains
 from .scenario import BaselineParams, fits_aperture, meets_min_spacing
 
 logger = logging.getLogger("fdma.annealing")
@@ -286,16 +286,14 @@ class _PositionMove:
     blocks, row j differing from the current state in coordinate indices[j]
     at most, each row with the bits cost() gives its design; accept(row)
     makes that row of the last stack the current state.  Recentring moves
-    every element, so this move keeps only the held shifts' phase constants
-    and ignores indices and accept.
+    every element, so this move keeps only the held shifts' f/c and ignores
+    indices and accept.
     """
 
     def __init__(self, scenario: Scenario, design: ArrayDesign, params: BaselineParams):
         self.state, self.lo = _initial_spacings(design, params), params.min_spacing
-        self.half_width, self.bob = params.aperture_half_width, scenario.bob
-        self.ranges, self.cosines = scenario.eve_ranges[:, None], scenario.eve_cosines[:, None]
+        self.half_width, self.scenario = params.aperture_half_width, scenario
         self.f_over_c = (design.f0 + design.freq_shifts) / scenario.speed_of_light
-        self.rates, self.cos_bob = _bob_rates(self.f_over_c), math.cos(self.bob.angle_rad)
         self.weights = scenario.eve_weights[:, None]
 
     def upper(self, d: np.ndarray) -> np.ndarray:
@@ -303,10 +301,9 @@ class _PositionMove:
 
     def costs(self, stack: np.ndarray, indices) -> np.ndarray:
         positions = reconstruct_positions(stack, self.half_width)
-        paths = self.ranges - self.cosines * positions[..., None, :]
-        return _row_costs(_probe_phasors(paths, self.f_over_c),
-                          _bob_phasors(self.rates, self.bob.range_m - positions * self.cos_bob),
-                          self.weights)
+        scenario = self.scenario
+        paths = _paths(positions, scenario.eve_ranges, scenario.eve_cosines, scenario.bob)
+        return _row_costs(*_phasors(*paths, self.f_over_c), self.weights)
 
     def accept(self, row: int) -> None:
         pass
@@ -330,13 +327,11 @@ class _ShiftMove:
         if clipped:
             logger.debug("clipping %d starting shifts into the allowed box", clipped)
         self.hi, self.f0, self.c = np.full(self.state.size, hi), design.f0, scenario.speed_of_light
-        positions, bob = design.positions, scenario.bob
-        self.paths = scenario.eve_ranges[:, None] - scenario.eve_cosines[:, None] * positions
-        self.bob_paths = bob.range_m - positions * math.cos(bob.angle_rad)
+        self.paths, self.bob_paths = _paths(design.positions, scenario.eve_ranges,
+                                            scenario.eve_cosines, scenario.bob)
         self.weights = scenario.eve_weights[:, None]
-        f_over_c = (self.f0 + self.state) / self.c
-        self.probes = _probe_phasors(self.paths, f_over_c)[None]
-        self.receiver = _bob_phasors(_bob_rates(f_over_c), self.bob_paths)[None]
+        probes, receiver = _phasors(self.paths, self.bob_paths, (self.f0 + self.state) / self.c)
+        self.probes, self.receiver = probes[None], receiver[None]
 
     def upper(self, shifts: np.ndarray) -> np.ndarray:
         return self.hi
@@ -345,10 +340,11 @@ class _ShiftMove:
         w = len(stack)
         rows = np.arange(w)
         f_over_c = (self.f0 + stack[rows, indices]) / self.c
+        columns, entries = _phasors(self.paths[:, indices], self.bob_paths[indices], f_over_c)
         probes = self.probes.repeat(w, axis=0)
-        probes[rows, :, indices] = _probe_phasors(self.paths[:, indices], f_over_c).T
+        probes[rows, :, indices] = columns.T
         receiver = self.receiver.repeat(w, axis=0)
-        receiver[rows, indices] = _bob_phasors(_bob_rates(f_over_c), self.bob_paths[indices])
+        receiver[rows, indices] = entries
         self.last = probes, receiver
         return _row_costs(probes, receiver, self.weights)
 

@@ -16,8 +16,9 @@ from typing import get_type_hints
 from .annealing import AnnealerConfig, _check_optimizable
 from .model import MAX_RELATIVE_SHIFT, Placement, Scenario, SPEED_OF_LIGHT, wavelength
 from .perturbation import PerturbConfig
-from .scenario import BaselineParams, GridSpec, LinkBudgetConfig, PolarDomain, \
-    dbm_to_milliwatts, make_cpa, make_placement, meets_min_spacing, place_canonical_eves
+from .scenario import BaselineParams, DEFAULT_EVE_DOMAIN, GridSpec, LinkBudgetConfig, \
+    PolarDomain, dbm_to_milliwatts, make_cpa, make_placement, meets_min_spacing, \
+    place_canonical_eves
 
 
 class ConfigError(ValueError):
@@ -61,10 +62,10 @@ class RunConfig:
     # physics / link budget
     f0_hz: float = 0.0  # required; 0 sentinel trips the validation below
     speed_of_light: float = SPEED_OF_LIGHT
-    tx_power_dbm: float = 5.0
-    noise_power_dbm: float = -80.0
-    ref_path_loss_db: float = 30.0
-    path_loss_exponent_coeff: float = 25.0
+    tx_power_dbm: float = LinkBudgetConfig.tx_power_dbm
+    noise_power_dbm: float = LinkBudgetConfig.noise_power_dbm
+    ref_path_loss_db: float = LinkBudgetConfig.ref_path_loss_db
+    path_loss_exponent_coeff: float = LinkBudgetConfig.path_loss_exponent_coeff
 
     # geometry
     bob_x_m: float | None = None
@@ -99,21 +100,21 @@ class RunConfig:
     trials: int = 20
 
     # adversary sampling domain
-    eve_r_min_m: float = 20.0
-    eve_r_max_m: float = 200.0
-    eve_theta_min_deg: float = 10.0
-    eve_theta_max_deg: float = 170.0
+    eve_r_min_m: float = DEFAULT_EVE_DOMAIN.r_min
+    eve_r_max_m: float = DEFAULT_EVE_DOMAIN.r_max
+    eve_theta_min_deg: float = math.degrees(DEFAULT_EVE_DOMAIN.theta_min)
+    eve_theta_max_deg: float = math.degrees(DEFAULT_EVE_DOMAIN.theta_max)
 
     # optimizer knobs
-    sa_initial_temperature: float | None = None
-    sa_cooling: float = 0.95
-    sa_iterations: int = 5000
-    sa_rounds: int = 4
-    sa_round_tol: float = 1e-3
-    ridge_position: float | None = None
-    ridge_frequency: float | None = None
-    perturb_rounds: int = 20
-    perturb_tol: float = 1e-6
+    sa_initial_temperature: float | None = AnnealerConfig.initial_temperature
+    sa_cooling: float = AnnealerConfig.cooling_factor
+    sa_iterations: int = AnnealerConfig.max_iterations
+    sa_rounds: int = AnnealerConfig.max_rounds
+    sa_round_tol: float = AnnealerConfig.relative_tolerance
+    ridge_position: float | None = PerturbConfig.ridge_position
+    ridge_frequency: float | None = PerturbConfig.ridge_frequency
+    perturb_rounds: int = PerturbConfig.max_rounds
+    perturb_tol: float = PerturbConfig.relative_tolerance
 
     def __post_init__(self):
         if not self.f0_hz > 0.0:

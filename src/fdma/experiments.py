@@ -164,7 +164,7 @@ def raster_columns(scenario: Scenario, design: ArrayDesign, grid: GridSpec,
     dB at (x, ys).  A column's values do not depend on which columns are
     asked for, so blocks of columns concatenate to the whole grid bit for
     bit.  Only one column's phase matrices are held at a time.  The power is
-    exactly 0 dB at the intended receiver and never positive elsewhere.
+    0 dB at the intended receiver and at most rounding above 0 dB elsewhere.
     """
     ys = grid.y_points()
     norm = design.num_antennas ** 2

@@ -180,19 +180,25 @@ def beampattern(design: ArrayDesign, probe: Placement, bob: Placement,
                            steering_vector(design, bob, c)))
 
 
-def _probe_phasors(paths: np.ndarray, f_over_c: np.ndarray) -> np.ndarray:
-    "Conjugate probe entries exp(+2 pi j path f / c), elementwise."
-    return np.exp(2j * np.pi * (paths * f_over_c))
+def _paths(positions: np.ndarray, ranges: np.ndarray, cosines: np.ndarray,
+           bob: Placement) -> tuple[np.ndarray, np.ndarray]:
+    """Paths R - x cos(theta) to probes (ranges, cosines) and to the receiver.
+
+    positions holds the element axis last, after any batch axes; the probe
+    paths have shape (..., K, M) and the receiver paths (..., M).
+    """
+    return (ranges[:, None] - cosines[:, None] * positions[..., None, :],
+            bob.range_m - positions * math.cos(bob.angle_rad))
 
 
-def _bob_rates(f_over_c: np.ndarray) -> np.ndarray:
-    "Receiver phase per metre of path, -2 pi j f / c, as _bob_phasors takes it."
-    return -2j * np.pi * f_over_c
+def _phasors(paths: np.ndarray, bob_paths: np.ndarray,
+             f_over_c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Conjugate probe entries exp(+2 pi j f path / c), receiver entries exp(-2 pi j f path / c).
 
-
-def _bob_phasors(rates: np.ndarray, bob_paths: np.ndarray) -> np.ndarray:
-    "Receiver entries exp(-2 pi j f path / c) from _bob_rates, elementwise."
-    return np.exp(rates * bob_paths)
+    Elementwise, so a subset of element columns keeps the full call's bits.
+    """
+    return (np.exp(2j * np.pi * (paths * f_over_c[..., None, :])),
+            np.exp(-2j * np.pi * f_over_c * bob_paths))
 
 
 def _eta(positions: np.ndarray, f_over_c: np.ndarray, ranges: np.ndarray,
@@ -203,14 +209,9 @@ def _eta(positions: np.ndarray, f_over_c: np.ndarray, ranges: np.ndarray,
     batch axes, which broadcast; the result holds those axes, then the probe
     axis.  The conjugate probe entries meet the receiver entries in one
     stacked matrix-vector product, which gives each batch row the bits of
-    its own unbatched call.  Each entry depends on one element's path and
-    frequency only, so a caller may rebuild one column of the probe matrix
-    through the same helpers and keep the bits.
+    its own unbatched call.
     """
-    paths = ranges[:, None] - cosines[:, None] * positions[..., None, :]
-    probes = _probe_phasors(paths, f_over_c[..., None, :])
-    receiver = _bob_phasors(_bob_rates(f_over_c),
-                            bob.range_m - positions * math.cos(bob.angle_rad))
+    probes, receiver = _phasors(*_paths(positions, ranges, cosines, bob), f_over_c)
     return np.matmul(probes, receiver[..., None])[..., 0]
 
 

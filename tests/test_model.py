@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from fdma.annealing import cost
 from fdma.model import ArrayDesign, Placement, Scenario, SPEED_OF_LIGHT, beampattern, \
     beampattern_batch, channel, eve_gains, eve_snrs, mrt_beamformer, snr_bob, snr_eve, \
-    steering_vector, wavelength, worst_case_secrecy_rate, _eta
+    steering_vector, wavelength, worst_case_secrecy_rate, _eta, _phasors
 from fdma.scenario import LinkBudgetConfig, default_baseline_params, make_cpa
 
 from conftest import F0, random_design, random_placement
@@ -187,6 +187,23 @@ class TestBeampattern:
             kernel = np.abs(np.where(np.abs(np.sin(u)) < 1e-300, m,
                                      np.sin(m * u) / np.sin(u)))
         np.testing.assert_allclose(direct, kernel, rtol=1e-8, atol=1e-10)
+
+
+class TestPhasors:
+    @given(st.integers(1, 6), st.integers(2, 32), st.integers(0, 2**32 - 1))
+    def test_columns_keep_their_bits(self, k, m, seed):
+        # The shift move's cache rebuilds single columns of the probe matrix
+        # and entries of the receiver vector, repeated indices included.
+        rng = np.random.default_rng(seed)
+        paths = rng.uniform(-300.0, 300.0, size=(k, m))
+        bob_paths = rng.uniform(-300.0, 300.0, size=m)
+        f_over_c = F0 * (1.0 + rng.uniform(-1e-3, 1e-3, size=m)) / SPEED_OF_LIGHT
+        idx = rng.integers(0, m, size=int(rng.integers(1, 2 * m + 1)))
+        idx = np.concatenate([idx, idx[:1]])
+        probes, receiver = _phasors(paths, bob_paths, f_over_c)
+        columns, entries = _phasors(paths[:, idx], bob_paths[idx], f_over_c[idx])
+        assert np.array_equal(columns, probes[:, idx])
+        assert np.array_equal(entries, receiver[idx])
 
 
 class TestSnr:
