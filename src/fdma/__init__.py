@@ -17,6 +17,7 @@ from .model import (
     beampattern,
     beampattern_batch,
     channel,
+    cost,
     mrt_beamformer,
     snr_bob,
     snr_eve,
@@ -37,7 +38,7 @@ from .scenario import (
     place_canonical_eves,
     sample_eves_outside_target,
 )
-from .annealing import AnnealerConfig, alternate_sa, cost
+from .annealing import AnnealerConfig, alternate_sa
 from .perturbation import PerturbConfig, alternate_perturb
 from .experiments import ConfigurationKind
 

@@ -9,15 +9,15 @@ probability exp(-dJ / T) under a geometric cooling schedule T_t = alpha^t T0.
 The best state ever visited is returned.
 
 One loop drives both phases.  It decodes a window of candidates from the
-generator's raw words, costs them in one batched gain-kernel call and
-scans them in order; each candidate's cost is the floating-point
-computation cost() does on its design, bit for bit.  Only the words of the
-candidates up to the window's first acceptance count as used, so every
-chain, trace and generator state is the one a loop that draws and costs one
-candidate at a time would produce.  A move object costs the window: the
-shift move keeps the current state's phasors and rebuilds one probe column
-and one receiver entry per candidate, the one element whose frequency it
-changes.
+generator's raw words, costs them in one call of fdma.model's objective
+kernel _costs and scans them in order; each candidate's cost is the
+floating-point computation cost() does on its design, bit for bit.  Only
+the words of the candidates up to the window's first acceptance count as
+used, so every chain, trace and generator state is the one a loop that
+draws and costs one candidate at a time would produce.  A move object
+costs the window: the shift move keeps the current state's phasors and
+rebuilds one probe column and one receiver entry per candidate, the one
+element whose frequency it changes.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import ArrayDesign, Scenario, _paths, _phasors, eve_gains
+from .model import ArrayDesign, Scenario, _costs, _paths, _phasors, cost
 from .scenario import BaselineParams, fits_aperture, meets_min_spacing
 
 logger = logging.getLogger("fdma.annealing")
@@ -93,33 +93,6 @@ class IterationRecord(NamedTuple):
     cost: float
     accepted: bool
     best_cost: float
-
-
-def cost(scenario: Scenario, design: ArrayDesign) -> float:
-    "Optimization objective: total linear eavesdropper SNR under matched weights."
-    return float(_raw_cost(scenario, design.positions, design.freq_shifts, design.f0))
-
-
-def _raw_cost(scenario: Scenario, positions: np.ndarray, shifts: np.ndarray,
-              f0: float) -> np.ndarray:
-    """cost() on raw design arrays, or on stacks of them (leading axes broadcast).
-
-    The weighted sum is one stacked dot product per row, so each row costs
-    exactly what its own unbatched evaluation does.
-    """
-    gains = eve_gains(scenario, positions, shifts, f0)
-    return _weighted_sum(gains, scenario.eve_weights[:, None], positions.shape[-1])
-
-
-def _weighted_sum(gains: np.ndarray, weights: np.ndarray, num_antennas: int) -> np.ndarray:
-    "Each row's cost from its gains and the weights as a column: one stacked dot per row."
-    return np.matmul(gains[..., None, :], weights)[..., 0, 0] / num_antennas
-
-
-def _row_costs(probes: np.ndarray, receiver: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    "_raw_cost of stacked probe matrices and receiver vectors, through _eta's product."
-    gains = np.abs(np.matmul(probes, receiver[..., None])[..., 0]) ** 2
-    return _weighted_sum(gains, weights, receiver.shape[-1])
 
 
 def spacings(positions: np.ndarray) -> np.ndarray:
@@ -284,9 +257,10 @@ class _PositionMove:
     a coordinate (lo).  upper(state) gives the largest value each coordinate
     may take with the others held.  costs(stack, indices) costs a stack of
     blocks, row j differing from the current state in coordinate indices[j]
-    at most, each row with the bits cost() gives its design; accept(row)
-    makes that row of the last stack the current state.  Recentring moves
-    every element, so this move keeps only the held shifts' f/c and ignores
+    at most, each row with the bits cost() gives its design, since both run
+    fdma.model._costs on _phasors' output; accept(row) makes that row of the
+    last stack the current state.  Recentring moves every element, so this
+    move keeps only the scenario and the held shifts' f/c and ignores
     indices and accept.
     """
 
@@ -294,7 +268,6 @@ class _PositionMove:
         self.state, self.lo = _initial_spacings(design, params), params.min_spacing
         self.half_width, self.scenario = params.aperture_half_width, scenario
         self.f_over_c = (design.f0 + design.freq_shifts) / scenario.speed_of_light
-        self.weights = scenario.eve_weights[:, None]
 
     def upper(self, d: np.ndarray) -> np.ndarray:
         return adaptive_max_spacing(d, slice(None), self.half_width)
@@ -303,7 +276,7 @@ class _PositionMove:
         positions = reconstruct_positions(stack, self.half_width)
         scenario = self.scenario
         paths = _paths(positions, scenario.eve_ranges, scenario.eve_cosines, scenario.bob)
-        return _row_costs(*_phasors(*paths, self.f_over_c), self.weights)
+        return _costs(*_phasors(*paths, self.f_over_c), scenario.eve_weights)
 
     def accept(self, row: int) -> None:
         pass
@@ -329,7 +302,7 @@ class _ShiftMove:
         self.hi, self.f0, self.c = np.full(self.state.size, hi), design.f0, scenario.speed_of_light
         self.paths, self.bob_paths = _paths(design.positions, scenario.eve_ranges,
                                             scenario.eve_cosines, scenario.bob)
-        self.weights = scenario.eve_weights[:, None]
+        self.weights = scenario.eve_weights
         probes, receiver = _phasors(self.paths, self.bob_paths, (self.f0 + self.state) / self.c)
         self.probes, self.receiver = probes[None], receiver[None]
 
@@ -346,7 +319,7 @@ class _ShiftMove:
         receiver = self.receiver.repeat(w, axis=0)
         receiver[rows, indices] = entries
         self.last = probes, receiver
-        return _row_costs(probes, receiver, self.weights)
+        return _costs(probes, receiver, self.weights)
 
     def accept(self, row: int) -> None:
         probes, receiver = self.last

@@ -36,12 +36,12 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .annealing import IterationRecord, cost, schedule_summary
+from .annealing import IterationRecord, schedule_summary
 from .config import ConfigError, RunConfig, parse_config_file
 from .experiments import ALL_KINDS, ConfigurationKind, available_cpus, baseline_design, \
     compare_designs, job_workers, optimize_configuration, raster_columns, \
     sweep_vs_num_antennas, sweep_vs_num_eves
-from .model import ArrayDesign, wavelength
+from .model import ArrayDesign, cost, wavelength
 from .perturbation import RoundRecord
 
 logger = logging.getLogger("fdma")

@@ -126,21 +126,19 @@ def baseline_design(kind: ConfigurationKind, num_antennas: int,
 def optimize_configuration(kind: ConfigurationKind, scenario: Scenario,
                            num_antennas: int, params: BaselineParams, f0: float,
                            sa_cfg: AnnealerConfig, perturb_cfg: PerturbConfig,
-                           seed: int | None = None,
                            trace: list | None = None) -> ArrayDesign:
     """Design realizing a configuration kind on the given scenario.
 
-    seed overrides the annealer seed for sweep bookkeeping; baselines and
-    the upper bound ignore it.  trace, when given, receives the optimizer's
-    records (IterationRecord for OPT1 kinds, RoundRecord for OPT2 kinds).
+    OPT1 kinds are seeded by sa_cfg.seed.  trace, when given, receives the
+    optimizer's records (IterationRecord for OPT1 kinds, RoundRecord for
+    OPT2 kinds).
     """
     design = baseline_design(kind, num_antennas, params, f0)
     if kind not in _PHASES:
         return design
     phases = _PHASES[kind]
     if kind in SA_KINDS:
-        cfg = sa_cfg if seed is None else replace(sa_cfg, seed=seed)
-        return annealing.alternate_sa(scenario, design, params, cfg, trace=trace,
+        return annealing.alternate_sa(scenario, design, params, sa_cfg, trace=trace,
                                       phases=phases)
     return perturbation.alternate_perturb(scenario, design, params, perturb_cfg,
                                           trace=trace, phases=phases)
@@ -205,7 +203,7 @@ def _run_job(job: _Job, f0: float, sa_cfg: AnnealerConfig, perturb_cfg: PerturbC
     start = time.perf_counter()
     seed = derive_seed(master_seed, job.label)
     design = optimize_configuration(job.kind, job.scenario, job.num_antennas, job.params,
-                                    f0, sa_cfg, perturb_cfg, seed=seed)
+                                    f0, replace(sa_cfg, seed=seed), perturb_cfg)
     rate = configuration_rate(job.kind, job.scenario, design)
     logger.info("%s rate=%.4f", job.label, rate)
     return SweepRecord(job.sweep_value, job.kind, rate, seed, job.trial, job.label,

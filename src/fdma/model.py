@@ -201,18 +201,30 @@ def _phasors(paths: np.ndarray, bob_paths: np.ndarray,
             np.exp(-2j * np.pi * f_over_c * bob_paths))
 
 
-def _eta(positions: np.ndarray, f_over_c: np.ndarray, ranges: np.ndarray,
-         cosines: np.ndarray, bob: Placement) -> np.ndarray:
-    """Beampattern at probes (ranges, cosines) of elements at positions radiating f/c.
+def _eta(probes: np.ndarray, receiver: np.ndarray) -> np.ndarray:
+    """Beampattern at each probe: the conjugate probe entries times the receiver entries.
 
-    positions and f_over_c hold the element axis last and may carry leading
-    batch axes, which broadcast; the result holds those axes, then the probe
-    axis.  The conjugate probe entries meet the receiver entries in one
-    stacked matrix-vector product, which gives each batch row the bits of
-    its own unbatched call.
+    Takes _phasors' output, which may carry leading batch axes; the result
+    holds those axes, then the probe axis.  One stacked matrix-vector
+    product gives each batch row the bits of its own unbatched call.
     """
-    probes, receiver = _phasors(*_paths(positions, ranges, cosines, bob), f_over_c)
     return np.matmul(probes, receiver[..., None])[..., 0]
+
+
+def _costs(probes: np.ndarray, receiver: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Objective sum_k w_k |eta_k|^2 / M of each batch row of _phasors' output.
+
+    The weighted sum is one stacked dot per row, so each row costs exactly
+    what its own unbatched evaluation does.
+    """
+    gains = np.abs(_eta(probes, receiver)) ** 2
+    return np.matmul(gains[..., None, :], weights[:, None])[..., 0, 0] / receiver.shape[-1]
+
+
+def _eve_phasors(scenario: Scenario, design: ArrayDesign) -> tuple[np.ndarray, np.ndarray]:
+    "_phasors of a design at the scenario's eavesdroppers."
+    paths = _paths(design.positions, scenario.eve_ranges, scenario.eve_cosines, scenario.bob)
+    return _phasors(*paths, design.frequencies / scenario.speed_of_light)
 
 
 def beampattern_batch(design: ArrayDesign, ranges_m: np.ndarray,
@@ -228,20 +240,10 @@ def beampattern_batch(design: ArrayDesign, ranges_m: np.ndarray,
     # Near-equal row blocks below OpenBLAS's 4,096-entry threading size stay on this thread.
     blocks = max(1, -(-ranges.size // max(1, 4095 // design.num_antennas)))
     bounds = [ranges.size * b // blocks for b in range(blocks + 1)]
-    return np.concatenate([_eta(design.positions, design.frequencies / c, ranges[i:j],
-                                cosines[i:j], bob) for i, j in zip(bounds, bounds[1:])])
-
-
-def eve_gains(scenario: Scenario, positions: np.ndarray, shifts: np.ndarray,
-              f0: float) -> np.ndarray:
-    """Beampattern power |eta_k|^2 at each eavesdropper, from raw design arrays.
-
-    positions and shifts may be stacks of designs (leading axes broadcast);
-    the eavesdropper axis comes last.
-    """
-    f_over_c = (f0 + shifts) / scenario.speed_of_light
-    return np.abs(_eta(positions, f_over_c, scenario.eve_ranges, scenario.eve_cosines,
-                       scenario.bob)) ** 2
+    f_over_c = design.frequencies / c
+    return np.concatenate([
+        _eta(*_phasors(*_paths(design.positions, ranges[i:j], cosines[i:j], bob), f_over_c))
+        for i, j in zip(bounds, bounds[1:])])
 
 
 def snr_bob(scenario: Scenario, design: ArrayDesign) -> float:
@@ -257,8 +259,13 @@ def snr_bob(scenario: Scenario, design: ArrayDesign) -> float:
 
 def eve_snrs(scenario: Scenario, design: ArrayDesign) -> np.ndarray:
     "Linear SNR at each eavesdropper under matched transmit weights."
-    gains = eve_gains(scenario, design.positions, design.freq_shifts, design.f0)
+    gains = np.abs(_eta(*_eve_phasors(scenario, design))) ** 2
     return scenario.eve_weights * gains / design.num_antennas
+
+
+def cost(scenario: Scenario, design: ArrayDesign) -> float:
+    "Optimization objective: total linear eavesdropper SNR under matched weights."
+    return float(_costs(*_eve_phasors(scenario, design), scenario.eve_weights))
 
 
 def snr_eve(scenario: Scenario, design: ArrayDesign, k: int) -> float:

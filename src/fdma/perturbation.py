@@ -27,9 +27,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import ArrayDesign, Scenario
+from .model import ArrayDesign, Scenario, cost
 from .scenario import BaselineParams, centered_indices, fits_aperture, meets_min_spacing
-from .annealing import _check_alternation, alternate, cost, reconstruct_positions
+from .annealing import _check_alternation, alternate, reconstruct_positions
 
 
 class SingularSystemError(ValueError):
@@ -84,7 +84,13 @@ class NullingSystem:
 
 
 class RoundRecord(NamedTuple):
-    "One alternation step (a trace.csv row): block solved and the cost it reached."
+    """One alternation step (a trace.csv row): block solved and the cost it reached.
+
+    clip_count is the adjustment count apply_position_perturbation or
+    apply_frequency_perturbation returned for the step.  For shifts it is
+    the number of shifts saturated; for positions it counts adjustments,
+    not the coordinates they moved.
+    """
 
     round: int
     subproblem: str
@@ -175,7 +181,10 @@ def apply_position_perturbation(design: ArrayDesign, delta_x: np.ndarray,
     the minimum; if the span then fails `fits_aperture`, the spacing
     excesses are shrunk affinely and the array is recentred as the annealer
     recentres it; a span that merely sits off-centre past an aperture edge
-    is translated back inside.
+    is translated back inside.  The count is one per raised spacing, one
+    per shrunk spacing excess and one per translation.  It is not the
+    number of coordinates moved: a shrink recentres, and a translation
+    shifts, every element.
     """
     raw = design.positions + np.asarray(delta_x, dtype=float)
     adjusted = raw.copy()

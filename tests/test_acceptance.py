@@ -16,11 +16,11 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from fdma.annealing import AnnealerConfig, anneal_positions, cost, metropolis_accept
+from fdma.annealing import AnnealerConfig, anneal_positions, metropolis_accept
 from fdma.experiments import ALL_KINDS, ConfigurationKind as Kind, mean_rates, \
     sweep_vs_num_antennas, sweep_vs_num_eves
 from fdma.model import ArrayDesign, Scenario, SPEED_OF_LIGHT, beampattern_batch, \
-    channel, mrt_beamformer, snr_bob, wavelength
+    channel, cost, mrt_beamformer, snr_bob, wavelength
 from fdma.perturbation import PerturbConfig, alternate_perturb, build_frequency_system, \
     build_position_system, first_order_beampattern
 from fdma.scenario import BaselineParams, LinkBudgetConfig, default_baseline_params, \

@@ -12,11 +12,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fdma.experiments
-from fdma.annealing import AnnealerConfig, cost
+from fdma.annealing import AnnealerConfig
 from fdma.experiments import ALL_KINDS, ConfigurationKind, _Job, _run_job, _run_jobs, \
     baseline_design, compare_designs, configuration_rate, mean_rates, \
     optimize_configuration, raster_columns, sweep_vs_num_antennas, sweep_vs_num_eves
-from fdma.model import SPEED_OF_LIGHT, Scenario, beampattern_batch, snr_bob, wavelength
+from fdma.model import SPEED_OF_LIGHT, Scenario, beampattern_batch, cost, snr_bob, wavelength
 from fdma.perturbation import PerturbConfig
 from fdma.scenario import BaselineParams, GridSpec, LinkBudgetConfig, \
     default_baseline_params, make_cpa, make_linear_fda, place_canonical_eves
@@ -196,8 +196,7 @@ class TestSweepVsNumAntennas:
                      ConfigurationKind.FDA_OPT2, ConfigurationKind.FDMA_OPT2):
             baseline = baseline_design(kind, m, params, F0)
             optimized = optimize_configuration(kind, scenario, m, params, F0,
-                                               FAST_SA, PerturbConfig(),
-                                               seed=5)
+                                               replace(FAST_SA, seed=5), PerturbConfig())
             assert cost(scenario, optimized) <= cost(scenario, baseline) + 1e-12
 
     def test_deterministic(self, base_scenario, link_mod, records):
@@ -384,8 +383,8 @@ def test_every_kind_rejects_a_grid_wider_than_the_aperture(bob_mod, link_mod, ki
     eves = place_canonical_eves(21, bob_mod, params, link_mod, F0, SPEED_OF_LIGHT)
     scenario = Scenario(bob_mod, tuple(eves), 10.0 ** 0.5)
     with pytest.raises(ValueError, match="M = 21 elements spans"):
-        optimize_configuration(kind, scenario, 21, params, F0, FAST_SA, PerturbConfig(),
-                               seed=1)
+        optimize_configuration(kind, scenario, 21, params, F0, replace(FAST_SA, seed=1),
+                               PerturbConfig())
 
 
 class TestCompareDesigns:
@@ -422,8 +421,7 @@ class TestCompareDesigns:
         cpa = make_cpa(m, params, F0)
         sa_cfg = AnnealerConfig(max_iterations=4000, seed=42)
         opt1 = optimize_configuration(ConfigurationKind.FDMA_OPT1, scenario, m, params,
-                                      F0, sa_cfg, PerturbConfig(),
-                                      seed=42)
+                                      F0, sa_cfg, PerturbConfig())
         opt2 = optimize_configuration(ConfigurationKind.FDMA_OPT2, scenario, m, params,
                                       F0, sa_cfg, PerturbConfig())
         dev1 = np.max(np.abs(opt1.positions - cpa.positions)) / LAM
@@ -440,10 +438,10 @@ class TestConfigurationSemantics:
         cpa = make_cpa(m, params, F0)
         fda = make_linear_fda(m, params, F0)
         ma = optimize_configuration(ConfigurationKind.MA_OPT1, scenario, m, params, F0,
-                                    FAST_SA, PerturbConfig(), seed=1)
+                                    replace(FAST_SA, seed=1), PerturbConfig())
         assert np.all(ma.freq_shifts == 0.0)
         fda_opt = optimize_configuration(ConfigurationKind.FDA_OPT1, scenario, m, params,
-                                         F0, FAST_SA, PerturbConfig(), seed=1)
+                                         F0, replace(FAST_SA, seed=1), PerturbConfig())
         np.testing.assert_array_equal(fda_opt.positions, fda.positions)
         ma2 = optimize_configuration(ConfigurationKind.MA_OPT2, scenario, m, params, F0,
                                      FAST_SA, PerturbConfig())

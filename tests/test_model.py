@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fdma.annealing import cost
 from fdma.model import ArrayDesign, Placement, Scenario, SPEED_OF_LIGHT, beampattern, \
-    beampattern_batch, channel, eve_gains, eve_snrs, mrt_beamformer, snr_bob, snr_eve, \
-    steering_vector, wavelength, worst_case_secrecy_rate, _eta, _phasors
+    beampattern_batch, channel, cost, eve_snrs, mrt_beamformer, snr_bob, snr_eve, \
+    steering_vector, wavelength, worst_case_secrecy_rate, _costs, _eta, _paths, _phasors
 from fdma.scenario import LinkBudgetConfig, default_baseline_params, make_cpa
 
 from conftest import F0, random_design, random_placement
@@ -167,7 +166,8 @@ class TestBeampattern:
         design = random_design(rng, m)
         ranges = rng.uniform(1.0, 400.0, size=probes)
         cosines = np.cos(rng.uniform(0.01, math.pi - 0.01, size=probes))
-        whole = _eta(design.positions, design.frequencies / SPEED_OF_LIGHT, ranges, cosines, bob)
+        whole = _eta(*_phasors(*_paths(design.positions, ranges, cosines, bob),
+                               design.frequencies / SPEED_OF_LIGHT))
         np.testing.assert_array_equal(beampattern_batch(design, ranges, cosines, bob), whole)
         assert beampattern_batch(design, np.array([]), np.array([]), bob).shape == (0,)
 
@@ -204,6 +204,53 @@ class TestPhasors:
         columns, entries = _phasors(paths[:, idx], bob_paths[idx], f_over_c[idx])
         assert np.array_equal(columns, probes[:, idx])
         assert np.array_equal(entries, receiver[idx])
+
+
+class TestBatchedCostMatchesCost:
+    # The annealer's moves cost a window of candidates in one stacked _costs
+    # call; every row must cost exactly what cost() gives that row's design.
+    @settings(derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), num_eves=st.integers(0, 6),
+           num_antennas=st.integers(2, 32), rows=st.integers(1, 40),
+           stacked=st.sampled_from(["positions", "shifts", "both"]))
+    def test_every_row_equals_cost(self, link_cfg, bob, seed, num_eves, num_antennas,
+                                   rows, stacked):
+        rng = np.random.default_rng(seed)
+        eves = tuple(random_placement(rng, link_cfg) for _ in range(num_eves))
+        scenario = Scenario(bob, eves, tx_power_linear=10.0 ** 0.5)
+        designs = [random_design(rng, num_antennas) for _ in range(rows)]
+        positions = np.array([d.positions for d in designs])
+        shifts = np.array([d.freq_shifts for d in designs])
+        if stacked == "positions":
+            shifts = shifts[0]
+        elif stacked == "shifts":
+            positions = positions[0]
+        paths = _paths(positions, scenario.eve_ranges, scenario.eve_cosines, bob)
+        costs = _costs(*_phasors(*paths, (F0 + shifts) / SPEED_OF_LIGHT), scenario.eve_weights)
+        assert costs.shape == (rows,)
+        for i, row_cost in enumerate(costs.tolist()):
+            design = ArrayDesign(positions if positions.ndim == 1 else positions[i], F0,
+                                 shifts if shifts.ndim == 1 else shifts[i])
+            assert row_cost.hex() == cost(scenario, design).hex(), i
+
+
+class TestCost:
+    def test_no_eves_is_zero(self, bob):
+        scenario = Scenario(bob, (), tx_power_linear=1.0)
+        design = make_cpa(4, default_baseline_params(4, F0, SPEED_OF_LIGHT), F0)
+        assert cost(scenario, design) == 0.0
+
+    def test_colocated_eve_unit_budget(self):
+        bob = Placement(10.0, 1.0, path_loss_linear=1.0, noise_power_linear=1.0)
+        scenario = Scenario(bob, (bob,), tx_power_linear=2.0)
+        design = make_cpa(6, default_baseline_params(6, F0, SPEED_OF_LIGHT), F0)
+        assert abs(cost(scenario, design) - 2.0 * 6) < 1e-9
+
+    def test_matches_per_eve_snr_sum(self, default_scenario):
+        rng = np.random.default_rng(23)
+        design = random_design(rng, 21)
+        total = sum(snr_eve(default_scenario, design, k) for k in range(3))
+        assert abs(cost(default_scenario, design) - total) < 1e-12 * max(total, 1.0)
 
 
 class TestSnr:
@@ -261,14 +308,13 @@ class TestSnr:
     # 1e-9 relative.  A fixed example set keeps the tolerance and a stable gate.
     @settings(derandomize=True)
     @given(st.integers(0, 6), st.integers(0, 2**32 - 1))
-    def test_weighted_eve_gains_match_scalar_beampattern(self, num_eves, seed):
+    def test_weighted_eve_snrs_match_scalar_beampattern(self, num_eves, seed):
         rng = np.random.default_rng(seed)
         cfg = LinkBudgetConfig()
         eves = tuple(random_placement(rng, cfg) for _ in range(num_eves))
         scenario = Scenario(random_placement(rng, cfg), eves, tx_power_linear=10.0 ** 0.5)
         design = random_design(rng, int(rng.integers(num_eves + 1, 33)))
-        gains = eve_gains(scenario, design.positions, design.freq_shifts, design.f0)
-        weighted = scenario.eve_weights * gains
+        weighted = eve_snrs(scenario, design) * design.num_antennas
         assert weighted.shape == (num_eves,)
         for k, eve in enumerate(eves):
             eta = beampattern(design, eve, scenario.bob, scenario.speed_of_light)

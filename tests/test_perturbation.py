@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fdma.annealing import cost, reconstruct_positions
-from fdma.model import ArrayDesign, Scenario, SPEED_OF_LIGHT, beampattern, \
+from fdma.annealing import reconstruct_positions
+from fdma.model import ArrayDesign, Scenario, SPEED_OF_LIGHT, beampattern, cost, \
     wavelength
 from fdma.perturbation import NullingSystem, PerturbConfig, SingularSystemError, \
     alternate_perturb, apply_frequency_perturbation, apply_position_perturbation, \
