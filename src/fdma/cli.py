@@ -39,8 +39,8 @@ from . import __version__
 from .annealing import IterationRecord, schedule_summary
 from .config import ConfigError, RunConfig, parse_config_file
 from .experiments import ALL_KINDS, ConfigurationKind, available_cpus, baseline_design, \
-    compare_designs, job_workers, optimize_configuration, raster_columns, \
-    sweep_vs_num_antennas, sweep_vs_num_eves
+    job_workers, optimize_configuration, raster_columns, sweep_vs_num_antennas, \
+    sweep_vs_num_eves
 from .model import ArrayDesign, cost, wavelength
 from .perturbation import RoundRecord
 
@@ -53,19 +53,6 @@ def _fmt(value: float) -> str:
 
 def _json_dumps(obj, indent: int = 0) -> str:
     "Deterministic JSON with 17-significant-digit floats."
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [f'{inner}{json.dumps(str(key))}: {_json_dumps(val, indent + 1)}'
-                 for key, val in sorted(obj.items())]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not len(obj):
-            return "[]"
-        items = [f"{inner}{_json_dumps(val, indent + 1)}" for val in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     if isinstance(obj, (bool, np.bool_)):
         return "true" if obj else "false"
     if obj is None:
@@ -74,7 +61,18 @@ def _json_dumps(obj, indent: int = 0) -> str:
         return _fmt(obj)
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
-    return json.dumps(obj)
+    if isinstance(obj, dict):
+        brackets, entries = "{}", [(json.dumps(str(key)) + ": ", val)
+                                   for key, val in sorted(obj.items())]
+    elif isinstance(obj, (list, tuple)):
+        brackets, entries = "[]", [("", val) for val in obj]
+    else:
+        return json.dumps(obj)
+    if not entries:
+        return brackets
+    inner = "\n" + "  " * (indent + 1)
+    items = ",".join(inner + key + _json_dumps(val, indent + 1) for key, val in entries)
+    return brackets[0] + items + "\n" + "  " * indent + brackets[1]
 
 
 @contextlib.contextmanager
@@ -348,12 +346,16 @@ def cmd_optimize(cfg: RunConfig, method: str, out_dir: Path) -> None:
 
 def cmd_compare(cfg: RunConfig, design_a: str, design_b: str, out_dir: Path) -> None:
     clock = _Stopwatch()
-    records = compare_designs(_load_design(design_a), _load_design(design_b),
-                              cfg.speed_of_light)
+    docs = [_design_document(_load_design(path), cfg.speed_of_light)
+            for path in (design_a, design_b)]
+    if docs[0]["num_antennas"] != docs[1]["num_antennas"]:
+        raise ValueError("designs must have the same number of antennas")
+    rows = list(zip(range(docs[0]["num_antennas"]), *(
+        doc[key] for key in ("positions_wavelengths", "freq_shifts_mhz") for doc in docs)))
     clock.lap("compare")
     _write_csv(out_dir / "compare.csv",
                ["antenna", "pos_a_lambda", "pos_b_lambda", "shift_a_mhz", "shift_b_mhz"],
-               "%d,%.17g,%.17g,%.17g,%.17g", [records])
+               "%d,%.17g,%.17g,%.17g,%.17g", [rows])
     clock.lap("write")
     _write_manifest(out_dir, "compare", cfg, ["compare.csv"], clock)
 

@@ -1,4 +1,4 @@
-"""Experiment harness: beampattern rasters, secrecy-rate sweeps, design diffs.
+"""Experiment harness: beampattern rasters and secrecy-rate sweeps.
 
 Transmitter configurations under comparison:
 
@@ -39,8 +39,8 @@ import numpy as np
 
 from . import annealing, perturbation
 from .annealing import AnnealerConfig
-from .model import SPEED_OF_LIGHT, ArrayDesign, Scenario, beampattern_batch, snr_bob, \
-    wavelength, worst_case_secrecy_rate
+from .model import ArrayDesign, Scenario, beampattern_batch, snr_bob, \
+    worst_case_secrecy_rate
 from .perturbation import PerturbConfig
 from .scenario import BaselineParams, DEFAULT_EVE_DOMAIN, GridSpec, LinkBudgetConfig, \
     PolarDomain, derive_seed, make_cpa, make_linear_fda, place_canonical_eves, \
@@ -102,16 +102,6 @@ class _Job(NamedTuple):
     num_antennas: int
     params: BaselineParams
     kind: ConfigurationKind
-
-
-class DesignDiffRecord(NamedTuple):
-    "Per-element comparison of two designs (positions in wavelengths, shifts in MHz)."
-
-    antenna: int
-    position_a_wavelengths: float
-    position_b_wavelengths: float
-    shift_a_mhz: float
-    shift_b_mhz: float
 
 
 def baseline_design(kind: ConfigurationKind, num_antennas: int,
@@ -325,21 +315,3 @@ def mean_rates(records: list[SweepRecord]) -> dict[tuple[int, ConfigurationKind]
             rec.secrecy_rate_bps_hz)
     return {key: float(np.mean(vals)) for key, vals in sums.items()}
 
-
-def compare_designs(design_a: ArrayDesign, design_b: ArrayDesign,
-                    c: float = SPEED_OF_LIGHT) -> list[DesignDiffRecord]:
-    "Per-element table of two designs, positions in wavelengths and shifts in MHz."
-    if design_a.num_antennas != design_b.num_antennas:
-        raise ValueError("designs must have the same number of antennas")
-    lam_a = wavelength(design_a.f0, c)
-    lam_b = wavelength(design_b.f0, c)
-    return [
-        DesignDiffRecord(
-            antenna=i,
-            position_a_wavelengths=float(design_a.positions[i] / lam_a),
-            position_b_wavelengths=float(design_b.positions[i] / lam_b),
-            shift_a_mhz=float(design_a.freq_shifts[i] / 1e6),
-            shift_b_mhz=float(design_b.freq_shifts[i] / 1e6),
-        )
-        for i in range(design_a.num_antennas)
-    ]

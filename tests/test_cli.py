@@ -22,12 +22,13 @@ from hypothesis import given, strategies as st
 
 import fdma.experiments
 import fdma.cli
-from fdma.cli import _fmt, _split_rows, _write_csv, main
+from fdma.cli import _design_document, _fmt, _json_dumps, _split_rows, _write_csv, \
+    _write_json, main
 from fdma.config import ConfigError, RunConfig, parse_config_text
 from fdma.experiments import ALL_KINDS, ConfigurationKind, sweep_vs_num_antennas
 from fdma.model import SPEED_OF_LIGHT
 from fdma.scenario import DEFAULT_EVE_DOMAIN, LinkBudgetConfig, default_baseline_params, \
-    dbm_to_milliwatts, make_linear_fda, place_canonical_eves
+    dbm_to_milliwatts, make_cpa, make_linear_fda, place_canonical_eves
 
 from conftest import F0, cli_env
 
@@ -174,6 +175,11 @@ INTS = st.one_of(
 TEXT = st.text(st.characters(blacklist_categories=("Cs",)))
 COLUMNS = {"%.17g": FLOATS, "%d": INTS, "%s": TEXT}
 
+# JSON values without floats, which the writer prints with 17 significant
+# digits where json.dumps prints the shortest repr.
+JSON_VALUES = st.recursive(st.none() | st.booleans() | st.integers() | TEXT,
+                           lambda values: st.lists(values) | st.dictionaries(TEXT, values))
+
 
 def _cell(value) -> str:
     "Per-cell reference for the CSV writer: what each column type must print as."
@@ -298,6 +304,11 @@ class TestCsvWriter:
         spans = _split_rows(count)
         assert [len(range(count)[span]) for span in spans] == lengths
         assert [i for span in spans for i in range(count)[span]] == list(range(count))
+
+
+@given(JSON_VALUES)
+def test_json_writer_layout_matches_json_dumps(obj):
+    assert _json_dumps(obj) == json.dumps(obj, indent=2, sort_keys=True)
 
 
 class TestConfigParsing:
@@ -976,7 +987,53 @@ class TestSweepCommands:
             for k in (0, 2) for kind in ("FDMA_OPT1", "FDMA_OPT2")])
 
 
+def run_compare(tmp_path, design_a, design_b) -> int:
+    "Exit code of `compare` on two designs saved as `optimize` saves them; output in cmp/."
+    config = tmp_path / "c.cfg"
+    config.write_text("f0_hz = 30e9\n")
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path, design in zip(paths, (design_a, design_b)):
+        _write_json(path, _design_document(design, SPEED_OF_LIGHT))
+    return main(["--config", str(config), "--out", str(tmp_path / "cmp"), "compare",
+                 "--design-a", str(paths[0]), "--design-b", str(paths[1])])
+
+
+def compare_columns(out):
+    "The columns of compare.csv below its header, as floats."
+    rows = [line.split(",") for line in (out / "compare.csv").read_text().splitlines()[1:]]
+    return [[float(value) for value in column] for column in zip(*rows)]
+
+
 class TestCompareCommand:
+    def test_identical_designs_give_equal_columns(self, tmp_path):
+        design = make_linear_fda(5, default_baseline_params(5, F0, SPEED_OF_LIGHT), F0)
+        assert run_compare(tmp_path, design, design) == 0
+        antenna, pos_a, pos_b, shift_a, shift_b = compare_columns(tmp_path / "cmp")
+        assert antenna == list(range(5))
+        assert pos_a == pos_b
+        assert shift_a == shift_b
+
+    def test_linear_ramp_versus_single_carrier(self, tmp_path):
+        m = 6
+        params = default_baseline_params(m, F0, SPEED_OF_LIGHT)
+        assert run_compare(tmp_path, make_linear_fda(m, params, F0),
+                           make_cpa(m, params, F0)) == 0
+        antenna, pos_a, pos_b, shift_a, shift_b = compare_columns(tmp_path / "cmp")
+        assert antenna == list(range(m))
+        assert pos_a == pos_b
+        for i, a, b in zip(range(m), shift_a, shift_b):
+            expected = (i + 1 - (m + 1) / 2) * params.uniform_freq_step / 1e6
+            assert abs(a - b - expected) < 1e-12
+
+    def test_designs_of_different_sizes_rejected(self, tmp_path, capsys):
+        design_a, design_b = (make_cpa(m, default_baseline_params(m, F0, SPEED_OF_LIGHT), F0)
+                              for m in (4, 5))
+        assert run_compare(tmp_path, design_a, design_b) == 1
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record == {"error": "ValueError",
+                          "message": "designs must have the same number of antennas"}
+        assert not (tmp_path / "cmp" / "compare.csv").exists()
+
     @pytest.mark.parametrize("positions,shifts", [
         ("[0.0, Infinity]", "[0.0, 0.0]"),
         ("[0.0, 0.01]", "[NaN, 0.0]"),
@@ -1027,3 +1084,9 @@ class TestCompareCommand:
         assert lines[0] == "antenna,pos_a_lambda,pos_b_lambda,shift_a_mhz,shift_b_mhz"
         assert len(lines) == 1 + 9
         assert_manifest_telemetry(out, ["compare", "write"])
+        # Each column is its design.json list, bit for bit.
+        docs = [json.loads((o / "design.json").read_text()) for o in (out_a, out_b)]
+        expected = [list(range(9))] + [doc[key] for key in ("positions_wavelengths",
+                                                            "freq_shifts_mhz") for doc in docs]
+        assert [[value.hex() for value in column] for column in compare_columns(out)] \
+            == [[float(value).hex() for value in column] for column in expected]

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 import fdma.experiments
 from fdma.annealing import AnnealerConfig
 from fdma.experiments import ALL_KINDS, ConfigurationKind, _Job, _run_job, _run_jobs, \
-    baseline_design, compare_designs, configuration_rate, mean_rates, \
+    baseline_design, configuration_rate, mean_rates, \
     optimize_configuration, raster_columns, sweep_vs_num_antennas, sweep_vs_num_eves
 from fdma.model import SPEED_OF_LIGHT, Scenario, beampattern_batch, cost, snr_bob, wavelength
 from fdma.perturbation import PerturbConfig
@@ -387,48 +387,6 @@ def test_every_kind_rejects_a_grid_wider_than_the_aperture(bob_mod, link_mod, ki
                                PerturbConfig())
 
 
-class TestCompareDesigns:
-    def test_identical_designs_have_zero_diff(self):
-        params = default_baseline_params(5, F0, SPEED_OF_LIGHT)
-        design = make_linear_fda(5, params, F0)
-        for rec in compare_designs(design, design):
-            assert rec.position_a_wavelengths == rec.position_b_wavelengths
-            assert rec.shift_a_mhz == rec.shift_b_mhz
-
-    def test_linear_ramp_versus_single_carrier(self):
-        params = default_baseline_params(6, F0, SPEED_OF_LIGHT)
-        cpa = make_cpa(6, params, F0)
-        fda = make_linear_fda(6, params, F0)
-        records = compare_designs(fda, cpa)
-        for i, rec in enumerate(records):
-            assert rec.position_a_wavelengths == rec.position_b_wavelengths
-            expected = (i + 1 - 3.5) * params.uniform_freq_step / 1e6
-            assert abs(rec.shift_a_mhz - rec.shift_b_mhz - expected) < 1e-12
-
-    def test_dimension_mismatch(self):
-        params = default_baseline_params(4, F0, SPEED_OF_LIGHT)
-        with pytest.raises(ValueError):
-            compare_designs(make_cpa(4, params, F0), make_cpa(5, params, F0))
-
-    @pytest.mark.slow
-    def test_perturbed_positions_deviate_less_than_annealed(self, bob_mod, link_mod):
-        # The closed-form perturbation stays near the uniform grid while the
-        # annealer roams the whole aperture.
-        m = 21
-        params = default_baseline_params(m, F0, SPEED_OF_LIGHT)
-        eves = place_canonical_eves(m, bob_mod, params, link_mod, F0, SPEED_OF_LIGHT)
-        scenario = Scenario(bob_mod, tuple(eves), 10.0 ** 0.5)
-        cpa = make_cpa(m, params, F0)
-        sa_cfg = AnnealerConfig(max_iterations=4000, seed=42)
-        opt1 = optimize_configuration(ConfigurationKind.FDMA_OPT1, scenario, m, params,
-                                      F0, sa_cfg, PerturbConfig())
-        opt2 = optimize_configuration(ConfigurationKind.FDMA_OPT2, scenario, m, params,
-                                      F0, sa_cfg, PerturbConfig())
-        dev1 = np.max(np.abs(opt1.positions - cpa.positions)) / LAM
-        dev2 = np.max(np.abs(opt2.positions - cpa.positions)) / LAM
-        assert dev2 < dev1
-
-
 class TestConfigurationSemantics:
     def test_frozen_blocks(self, bob_mod, link_mod):
         m = 7
@@ -462,3 +420,21 @@ class TestConfigurationSemantics:
         design = make_cpa(m, params, F0)
         assert configuration_rate(ConfigurationKind.UPPER_BOUND, scenario, design) \
             == math.log2(1.0 + snr_bob(scenario, design))
+
+    @pytest.mark.slow
+    def test_perturbed_positions_deviate_less_than_annealed(self, bob_mod, link_mod):
+        # The closed-form perturbation stays near the uniform grid while the
+        # annealer roams the whole aperture.
+        m = 21
+        params = default_baseline_params(m, F0, SPEED_OF_LIGHT)
+        eves = place_canonical_eves(m, bob_mod, params, link_mod, F0, SPEED_OF_LIGHT)
+        scenario = Scenario(bob_mod, tuple(eves), 10.0 ** 0.5)
+        cpa = make_cpa(m, params, F0)
+        sa_cfg = AnnealerConfig(max_iterations=4000, seed=42)
+        opt1 = optimize_configuration(ConfigurationKind.FDMA_OPT1, scenario, m, params,
+                                      F0, sa_cfg, PerturbConfig())
+        opt2 = optimize_configuration(ConfigurationKind.FDMA_OPT2, scenario, m, params,
+                                      F0, sa_cfg, PerturbConfig())
+        dev1 = np.max(np.abs(opt1.positions - cpa.positions)) / LAM
+        dev2 = np.max(np.abs(opt2.positions - cpa.positions)) / LAM
+        assert dev2 < dev1
